@@ -1,29 +1,29 @@
 //! Template replay vs full spawning: the insertion-side payoff of graph
 //! capture (`ompss::CaptureScope` / `Runtime::replay`).
 //!
-//! The workload is the steady-state insertion storm of the spawn-rate
-//! ablation, thickened to the ≤2-access shape the allocation diet pins:
+//! The workload is a steady-state insertion storm in the ≤2-access shape
+//! the allocation diet pins:
 //! batches of `BATCH` tasks, each writing one of a small set of shared
 //! cells and reading the neighbouring one, so consecutive writers chain on
 //! WAW hazards, readers hang RAW/WAR edges off every write, and every
-//! registration contends on the cells' tracker shards. Four ways to stamp
+//! registration contends on the tracker lock. Four ways to stamp
 //! the same stream of batches:
 //!
 //! 1. **full-spawn** — `SPAWNERS` OS threads hammer `rt.task()` concurrently
-//!    (the per-task insertion hot path: one optimistic gate acquisition,
-//!    one in-flight/stat update and one wakeup per task).
+//!    (the per-task insertion hot path: one tracker lock acquisition, one
+//!    in-flight/stat update and one wakeup per task).
 //! 2. **resolved replay** — the batch is captured once into a
 //!    `GraphTemplate` and every subsequent batch is stamped with
 //!    `Runtime::replay` under `with_replay_prewiring(false)`: clause
 //!    re-resolution and a full `register_batch` history scan per task, but
-//!    one multi-gate acquisition and one batched wakeup per 256 tasks.
+//!    one lock acquisition and one batched wakeup per 256 tasks.
 //! 3. **pre-wired replay** — same call under the default config: the first
 //!    pure pass froze the template, so each batch stamps through the
 //!    `FrozenPlan` (baked intra-batch edges, frontier-only live scan,
 //!    bulk interior publish).
 //! 4. **fused replay** — `Runtime::replay_fused(&template, FUSE)` stamps
 //!    `FUSE` iterations as one super-batch: carried inter-iteration
-//!    dependences, one gate acquisition and one wakeup per `FUSE * 256`
+//!    dependences, one lock acquisition and one wakeup per `FUSE * 256`
 //!    tasks.
 //!
 //! All sides drain between timed stamps outside the timed window; the
@@ -58,7 +58,6 @@ fn runtime(prewiring: bool) -> Runtime {
     Runtime::new(
         RuntimeConfig::default()
             .with_workers(2)
-            .with_tracker_shards(4)
             .with_tracker_gc_interval(0)
             .with_replay_prewiring(prewiring),
     )
@@ -123,7 +122,7 @@ enum Mode {
     Resolved,
     /// The frozen fast path: frontier stamp + bulk interior publish.
     Prewired,
-    /// `replay_fused`: `FUSE` iterations per gate acquisition.
+    /// `replay_fused`: `FUSE` iterations per lock acquisition.
     Fused,
 }
 

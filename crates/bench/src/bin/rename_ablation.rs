@@ -28,11 +28,10 @@
 //! partitions, double-buffered by hand) and automatic (per-chunk version
 //! chains, `Runtime::versioned_partitioned`).
 //!
-//! A third scenario measures the **insertion side** itself: the spawn-rate
+//! A third scenario measures the **spawn side**: the allocation-diet
 //! ablation hammers one runtime from 1–8 concurrently spawning OS threads
-//! and reports task insertions per second with the dependence tracker in its
-//! single-shard (historical single-lock) and sharded configurations, plus
-//! the tracker's shard-hit / lock-contention counters.
+//! and reports full-spawn throughput with the task-node recycler off and
+//! on, plus the recycler hit rate.
 //!
 //! Run with `cargo run --release -p bench-harness --bin rename_ablation
 //! [workers] [frames] [pipeline-iters] [spawn-tasks-per-thread]`.
@@ -275,136 +274,8 @@ fn chunked_pipeline_section(workers: usize, iters: usize) {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario 3: tracker-sharding spawn-rate ablation
+// Scenario 3: spawn-side allocation diet
 // ---------------------------------------------------------------------------
-
-/// Spawner-thread counts exercised by the spawn-rate scenario.
-const SPAWNER_COUNTS: [usize; 4] = [1, 2, 4, 8];
-/// Shard count of the "sharded" configuration (the acceptance bar is N ≥ 4).
-const SHARDED: usize = 8;
-
-/// Spawn `per_spawner` tasks from each of `spawners` OS threads into one
-/// runtime and return the insertion rate (tasks/second over the spawn phase
-/// only) plus the runtime stats. Every task takes real tracker work: an
-/// `inout` chain edge on its spawner's private cell and an `input` on a
-/// rotating feed handle.
-fn spawn_rate_run(shards: usize, spawners: usize, per_spawner: usize) -> (f64, RuntimeStats) {
-    let rt = Runtime::new(
-        RuntimeConfig::default()
-            .with_workers(2)
-            .with_tracker_shards(shards)
-            // This scenario isolates *sharding* of the mutex path. The
-            // optimistic fast path would skew the comparison: with 1 shard
-            // both accesses always share it (fast-path eligible), while
-            // with N shards the two allocations usually span shards (forced
-            // fallback) — the single-shard row would be measuring a
-            // different code path. The fast-path ablation below compares
-            // optimistic vs locked explicitly.
-            .with_tracker_fast_path(false),
-    );
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..spawners {
-            let rt = &rt;
-            scope.spawn(move || {
-                let chain = rt.data(0u64);
-                let feeds: Vec<Data<u64>> = (0..8).map(|_| rt.data(1u64)).collect();
-                for i in 0..per_spawner {
-                    let c = chain.clone();
-                    let f = feeds[i % feeds.len()].clone();
-                    rt.task().inout(&c).input(&f).spawn(move |ctx| {
-                        let add = *ctx.read(&f);
-                        let mut c = ctx.write(&c);
-                        *c = c.wrapping_add(add);
-                    });
-                }
-            });
-        }
-    });
-    let spawn_time = start.elapsed();
-    rt.taskwait();
-    let stats = rt.stats();
-    assert_eq!(
-        stats.tasks_spawned as usize,
-        spawners * per_spawner,
-        "spawn-rate run lost tasks"
-    );
-    assert_eq!(stats.tasks_executed, stats.tasks_spawned);
-    let rate = (spawners * per_spawner) as f64 / spawn_time.as_secs_f64();
-    rt.shutdown();
-    (rate, stats)
-}
-
-/// Best-of-3 insertion rate (suppresses scheduler noise on busy hosts).
-fn spawn_rate_best(shards: usize, spawners: usize, per_spawner: usize) -> (f64, RuntimeStats) {
-    let mut best: Option<(f64, RuntimeStats)> = None;
-    for _ in 0..3 {
-        let (rate, stats) = spawn_rate_run(shards, spawners, per_spawner);
-        if best.as_ref().is_none_or(|(b, _)| rate > *b) {
-            best = Some((rate, stats));
-        }
-    }
-    best.expect("three runs happened")
-}
-
-/// Single-access insertion rate: every task declares exactly one `output`
-/// on one of `CELLS` per-spawner plain cells, so (with the fast path on)
-/// nearly every registration is a one-CAS optimistic publication. Returns
-/// insertions/sec over the spawn phase and the runtime stats.
-fn single_access_rate(
-    fast_path: bool,
-    recycler: bool,
-    spawners: usize,
-    per_spawner: usize,
-) -> (f64, RuntimeStats) {
-    const CELLS: usize = 64;
-    let rt = Runtime::new(
-        RuntimeConfig::default()
-            .with_workers(2)
-            .with_tracker_shards(SHARDED)
-            .with_tracker_fast_path(fast_path)
-            .with_task_recycler(recycler),
-    );
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..spawners {
-            let rt = &rt;
-            scope.spawn(move || {
-                let cells: Vec<Data<u64>> = (0..CELLS).map(|_| rt.data(0u64)).collect();
-                for i in 0..per_spawner {
-                    let c = cells[i % cells.len()].clone();
-                    rt.task().output(&c).spawn(move |ctx| {
-                        *ctx.write(&c) = i as u64;
-                    });
-                }
-            });
-        }
-    });
-    let spawn_time = start.elapsed();
-    rt.taskwait();
-    let stats = rt.stats();
-    assert_eq!(stats.tasks_spawned as usize, spawners * per_spawner);
-    assert_eq!(stats.tasks_executed, stats.tasks_spawned);
-    let rate = (spawners * per_spawner) as f64 / spawn_time.as_secs_f64();
-    rt.shutdown();
-    (rate, stats)
-}
-
-fn single_access_best(
-    fast_path: bool,
-    recycler: bool,
-    spawners: usize,
-    per_spawner: usize,
-) -> (f64, RuntimeStats) {
-    let mut best: Option<(f64, RuntimeStats)> = None;
-    for _ in 0..3 {
-        let (rate, stats) = single_access_rate(fast_path, recycler, spawners, per_spawner);
-        if best.as_ref().is_none_or(|(b, _)| rate > *b) {
-            best = Some((rate, stats));
-        }
-    }
-    best.expect("three runs happened")
-}
 
 /// In-flight bound of the allocation-diet runs: spawners yield while more
 /// tasks than this are outstanding. Keeps the working set inside the node
@@ -420,7 +291,6 @@ fn diet_rate(recycler: bool, spawners: usize, per_spawner: usize) -> (f64, Runti
     let rt = Runtime::new(
         RuntimeConfig::default()
             .with_workers(2)
-            .with_tracker_shards(SHARDED)
             .with_task_recycler(recycler),
     );
     let start = Instant::now();
@@ -461,14 +331,14 @@ fn diet_rate_best(recycler: bool, spawners: usize, per_spawner: usize) -> (f64, 
 }
 
 /// The spawn-side allocation diet: full-spawn throughput with the task-node
-/// recycler (and inline accesses/bodies) against the PR-4 configuration
-/// (fast path on, one fresh node + access list + boxed body per spawn),
+/// recycler (and inline accesses/bodies) against the recycler-off
+/// configuration (one fresh node + access list + boxed body per spawn),
 /// plus the recycler hit rate the diet lives on.
 fn allocation_diet_section(per_spawner: usize) {
     println!("\n=== Spawn-side allocation diet (full-spawn, single-access tasks) ===\n");
     println!(
         "{per_spawner} single-`output` tasks per spawner thread over 64 cells, \
-         {SHARDED} shards, ≤{DIET_IN_FLIGHT} in flight, best of 3\n"
+         ≤{DIET_IN_FLIGHT} in flight, best of 3\n"
     );
     println!(
         "{:<10}{:>16}{:>16}{:>10}{:>14}{:>14}",
@@ -528,157 +398,6 @@ fn allocation_diet_section(per_spawner: usize) {
         diet >= base * tolerance,
         "the recycler must not be slower end to end: {diet:.0}/s vs {base:.0}/s \
          ({cores} hardware threads, tolerance {tolerance})"
-    );
-}
-
-fn fast_path_section(per_spawner: usize) {
-    println!("\n=== Optimistic-fast-path insertion ablation (single-access tasks) ===\n");
-    println!(
-        "{per_spawner} single-`output` tasks per spawner thread over 64 cells, \
-         {SHARDED} shards, best of 3\n"
-    );
-    println!(
-        "{:<10}{:>16}{:>16}{:>10}{:>12}{:>12}",
-        "spawners", "locked/s", "optimistic/s", "speedup", "hit rate", "fallbacks"
-    );
-    let mut at_one = None;
-    for spawners in [1usize, 2, 4, 8] {
-        // Recycler on in both rows (the default): this section ablates the
-        // tracker tier only; the allocation-diet section ablates the
-        // recycler.
-        let (locked, _) = single_access_best(false, true, spawners, per_spawner);
-        let (fast, fast_stats) = single_access_best(true, true, spawners, per_spawner);
-        let hit_rate = fast_stats.tracker_fast_path_rate().unwrap_or(0.0);
-        println!(
-            "{:<10}{:>16.0}{:>16.0}{:>9.2}x{:>11.1}%{:>12}",
-            spawners,
-            locked,
-            fast,
-            fast / locked,
-            100.0 * hit_rate,
-            fast_stats.tracker_fast_path_fallbacks,
-        );
-        if spawners == 1 {
-            at_one = Some((locked, fast, hit_rate));
-        }
-    }
-    let (locked, fast, hit_rate) = at_one.expect("spawner count 1 ran");
-    println!(
-        "\noptimistic @ 1 spawner (full spawn path): {fast:.0} insertions/s vs {locked:.0} \
-         locked ({:.2}x), fast-path hit rate {:.1}%",
-        fast / locked,
-        100.0 * hit_rate,
-    );
-    // CI gate: the single-access workload must be fast-path dominated.
-    assert!(
-        hit_rate >= 0.90,
-        "single-access workload must take the fast path >= 90% of the time, got {:.1}%",
-        100.0 * hit_rate,
-    );
-    // The optimistic path must never *cost* end-to-end throughput. The
-    // tracker is a modest slice of the full spawn path (builder, node
-    // allocation, scheduling), so the end-to-end ratio hovers near 1.0 and
-    // is noise-bound on hosts without real parallelism — same core-aware
-    // tolerance as the sharding acceptance above.
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let tolerance = if cores >= 4 { 0.9 } else { 0.75 };
-    assert!(
-        fast >= locked * tolerance,
-        "optimistic insertion must not be slower than the locked path: \
-         {fast:.0}/s vs {locked:.0}/s ({cores} hardware threads, tolerance {tolerance})"
-    );
-
-    // The tracker-only comparison: drive register→complete→retire directly
-    // (no task bodies, no scheduling), which is the cost the fast path
-    // actually attacks. Best of 3 per configuration.
-    println!("\ntracker-only register+retire round trip (single-`output` tasks, 64 cells):");
-    let tasks = 150_000;
-    let rate_best = |fast_path: bool, spawners: usize| {
-        (0..3)
-            .map(|_| {
-                ompss::graph::bench::register_retire_rate(SHARDED, fast_path, spawners, tasks, 64)
-            })
-            .fold(0.0f64, f64::max)
-    };
-    let mut at_one_direct = None;
-    for spawners in [1usize, 8] {
-        let locked = rate_best(false, spawners);
-        let fast = rate_best(true, spawners);
-        println!(
-            "  {spawners} spawner(s): locked {locked:.0}/s, optimistic {fast:.0}/s ({:.2}x, \
-             target 1.5x)",
-            fast / locked
-        );
-        if spawners == 1 {
-            at_one_direct = Some((locked, fast));
-        }
-    }
-    let (locked, fast) = at_one_direct.expect("1-spawner direct rate ran");
-    assert!(
-        fast >= locked * 1.05,
-        "the optimistic register+retire path must beat the mutex path at 1 spawner: \
-         {fast:.0}/s vs {locked:.0}/s"
-    );
-}
-
-fn spawn_rate_section(per_spawner: usize) {
-    println!("\n=== Tracker-sharding spawn-rate ablation ===\n");
-    println!(
-        "{per_spawner} tasks per spawner thread, inout-chain + input accesses, best of 3\n"
-    );
-    println!(
-        "{:<10}{:>16}{:>16}{:>10}{:>14}{:>14}",
-        "spawners", "1 shard/s", format!("{SHARDED} shards/s"), "speedup", "contended(1)", "contended(N)"
-    );
-    let mut at_max = None;
-    for spawners in SPAWNER_COUNTS {
-        let (single, single_stats) = spawn_rate_best(1, spawners, per_spawner);
-        let (sharded, sharded_stats) = spawn_rate_best(SHARDED, spawners, per_spawner);
-        println!(
-            "{:<10}{:>16.0}{:>16.0}{:>9.2}x{:>14}{:>14}",
-            spawners,
-            single,
-            sharded,
-            sharded / single,
-            single_stats.tracker_lock_contention,
-            sharded_stats.tracker_lock_contention,
-        );
-        if spawners == *SPAWNER_COUNTS.last().expect("non-empty") {
-            at_max = Some((single, sharded, sharded_stats));
-        }
-    }
-    let (single, sharded, sharded_stats) = at_max.expect("ran the max spawner count");
-    let hits = &sharded_stats.tracker_shard_hits;
-    let (min_hits, max_hits) = (
-        hits.iter().copied().min().unwrap_or(0),
-        hits.iter().copied().max().unwrap_or(0),
-    );
-    println!(
-        "\nsharded @ {} spawners: {:.0} insertions/s vs {:.0} single-shard ({:.2}x), \
-         shard hits min/max = {}/{}, contention rate {:.4}",
-        SPAWNER_COUNTS[SPAWNER_COUNTS.len() - 1],
-        sharded,
-        single,
-        sharded / single,
-        min_hits,
-        max_hits,
-        sharded_stats.tracker_contention_rate().unwrap_or(0.0),
-    );
-    // Acceptance: sharded insertion throughput at the maximum spawner count
-    // must match or beat the single global lock. On hosts with real
-    // parallelism a 10% tolerance absorbs timer noise and the sharded
-    // variant wins outright; with fewer than 4 hardware threads there is no
-    // cross-thread contention for sharding to relieve and pure scheduling
-    // noise dominates the ratio (±20% run to run on a 1-core container), so
-    // the bound is widened to a sanity floor.
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let tolerance = if cores >= 4 { 0.9 } else { 0.7 };
-    assert!(
-        sharded >= single * tolerance,
-        "sharded tracker ({SHARDED} shards) must not insert slower than the \
-         single-shard tracker at {} spawner threads: {sharded:.0}/s vs {single:.0}/s \
-         ({cores} hardware threads, tolerance {tolerance})",
-        SPAWNER_COUNTS[SPAWNER_COUNTS.len() - 1],
     );
 }
 
@@ -814,7 +533,5 @@ fn main() {
     );
 
     chunked_pipeline_section(workers, pipeline_iters);
-    spawn_rate_section(spawn_tasks);
-    fast_path_section(spawn_tasks);
     allocation_diet_section(spawn_tasks);
 }

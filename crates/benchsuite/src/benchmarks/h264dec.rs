@@ -356,8 +356,8 @@ pub fn decode_ompss(stream: &EncodedStream, pool: usize, rt: &Runtime) -> u64 {
 /// (renaming and pre-wiring are mutually exclusive, so this template never
 /// freezes); what replay amortises is the spawn path itself: recipes arm
 /// recycled slab nodes directly — no builders, no per-task body boxing —
-/// and each frame costs one batched gate acquisition and one scheduler
-/// wakeup instead of five of each.
+/// and each frame costs one batched tracker lock acquisition and one
+/// scheduler wakeup instead of five of each.
 pub fn run_ompss_captured(p: &Params, rt: &Runtime) -> u64 {
     decode_ompss_captured(&p.stream(), p.pool, rt)
 }

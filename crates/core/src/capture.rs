@@ -17,7 +17,7 @@
 //! * [`Runtime::replay`] re-stamps the whole batch: every recipe's clauses
 //!   are re-resolved (optionally substituted through [`ReplayBindings`]),
 //!   the nodes are acquired from the task slab, and the entire batch is
-//!   registered with the dependence tracker under **one** multi-gate
+//!   registered with the dependence tracker under **one** lock
 //!   acquisition instead of one per task, then the ready roots are queued
 //!   with one batched scheduler wakeup.
 //!
@@ -38,7 +38,7 @@
 //! ordinary three-pass dance, and cross-batch predecessors (tasks of the
 //! previous iteration still in flight) are discovered exactly as a fresh
 //! spawn would discover them. What the batch saves is the per-task
-//! synchronisation and scheduling overhead: one gate acquisition, one
+//! synchronisation and scheduling overhead: one lock acquisition, one
 //! in-flight/stat/GC update, one wakeup notification for the whole batch.
 //!
 //! For the renaming-free case all of that re-derivation is itself
@@ -61,8 +61,8 @@
 //!   history through one region that the other's baked edges cannot.
 //! * **Frozen + empty bindings → pre-wired pass.** `replay` skips clause
 //!   resolution entirely, arms slab nodes from the frozen accesses, wires
-//!   the baked interior edges *before* taking any gate, then under the
-//!   usual batch gate only (a) **validates** the plan — each frozen
+//!   the baked interior edges *before* taking the tracker lock, then under
+//!   the usual batch lock only (a) **validates** the plan — each frozen
 //!   allocation must still carry only the plan's region ids — (b) registers
 //!   the *live prefix* (every task up to the last frontier task — the first
 //!   write per region, which can see the previous iteration's in-flight
@@ -87,14 +87,14 @@
 //! graphs that have no false dependences left to remove.
 //!
 //! [`Runtime::replay_fused`] stamps K iterations as **one super-batch**
-//! under a single gate acquisition and a single scheduler wakeup: because
+//! under a single lock acquisition and a single scheduler wakeup: because
 //! every task's history update lands in batch order, iteration *m*'s
 //! frontier scan (or, resolved, every scan) picks up iteration *m−1*'s
 //! writers — the carried inter-iteration dependences — with no barrier
 //! between iterations. Replays also run **concurrently**: scratch buffers
 //! are leased from a pool rather than held under one template-wide mutex,
 //! so two templates — or two disjoint-binding replays of one template —
-//! stamp in parallel and serialise only at the tracker gates, like any two
+//! stamp in parallel and serialise only at the tracker lock, like any two
 //! spawning threads.
 //!
 //! # Bindings
@@ -125,12 +125,12 @@
 //!
 //! Version state is *not* an invalidation concern: resolved passes pick up
 //! current versions, budgets and elision opportunities on every pass, and a
-//! frozen plan is validated against live tracker state under the gate on
+//! frozen plan is validated against live tracker state under the lock on
 //! every pre-wired pass (falling back when it disagrees).
 //!
 //! Equivalence with fresh spawning is pinned by
 //! `tests/replay_equivalence.rs` (edge multisets and final values across
-//! shard counts and recycler settings) and the replay extension of
+//! recycler settings) and the replay extension of
 //! `tests/property_runtime.rs` (sequential-semantics oracle).
 
 use std::collections::HashMap;
@@ -332,7 +332,7 @@ impl CapturedTaskBuilder<'_, '_> {
 }
 
 /// Reusable replay buffers: the acquired nodes of the pass being stamped,
-/// the roots that became immediately ready, and the sorted shard-id union.
+/// and the roots that became immediately ready.
 /// Kept in a lease pool inside the template (one entry per concurrent
 /// replay lane) so a warm replay allocates nothing and two passes never
 /// serialise on a buffer mutex.
@@ -340,7 +340,6 @@ impl CapturedTaskBuilder<'_, '_> {
 struct ReplayScratch {
     nodes: Vec<Arc<TaskNode>>,
     ready: Vec<Arc<TaskNode>>,
-    sids: Vec<usize>,
 }
 
 /// A recorded batch of task recipes, produced by [`CaptureScope::finish`]
@@ -493,7 +492,7 @@ impl Runtime {
     /// this is the pre-wired fast path (baked interior edges, frontier-only
     /// live registration, no clause resolution); otherwise every recipe's
     /// clauses are re-resolved (substituted through `bindings` where bound).
-    /// Either way the whole batch registers under a single multi-gate
+    /// Either way the whole batch registers under a single tracker lock
     /// acquisition and the ready roots are queued with one batched wakeup.
     /// Returns the 1-based pass number of this replay.
     ///
@@ -512,7 +511,7 @@ impl Runtime {
     }
 
     /// Re-stamp `iterations` passes of a captured batch as **one fused
-    /// super-batch**: one scratch lease, one tracker multi-gate acquisition
+    /// super-batch**: one scratch lease, one tracker lock acquisition
     /// and one scheduler wakeup for all K·n tasks. Inter-iteration
     /// dependences are carried exactly as K sequential [`Runtime::replay`]
     /// calls would carry them — every task's history update lands in batch
@@ -571,10 +570,9 @@ impl Runtime {
         // are retired without running, and the template stays reusable.
         let cancel = crate::runtime::current_cancel_scope();
         let mut scratch = template.lease_scratch();
-        let ReplayScratch { nodes, ready, sids } = &mut scratch;
+        let ReplayScratch { nodes, ready } = &mut scratch;
         nodes.clear();
         ready.clear();
-        sids.clear();
 
         // Mode select: a frozen plan is only usable when no binding
         // substitutes handles (substitution must re-resolve) and the config
@@ -600,7 +598,7 @@ impl Runtime {
             // it pass-invariant, so every node is armed straight from the
             // plan's access copies (no tickets, no commits, no renames by
             // construction), then the baked interior edges are wired in
-            // before any gate is taken.
+            // before the tracker lock is taken.
             for m in 0..iterations {
                 for (t, recipe) in template.tasks.iter().enumerate() {
                     let accesses = plan.accesses[t].clone();
@@ -711,17 +709,12 @@ impl Runtime {
                     if let Some(d) = &inner.dcheck {
                         d.register_task(&node);
                     }
-                    for access in node.accesses.iter() {
-                        sids.push(inner.tracker.shard_of(access.region.id.alloc));
-                    }
                     if trace_enabled {
                         renames_per_task.push(renames);
                     }
                     nodes.push(node);
                 }
             }
-            sids.sort_unstable();
-            sids.dedup();
         }
 
         // Batched bookkeeping, mirroring `spawn_node` — counted before the
@@ -737,7 +730,7 @@ impl Runtime {
         inner.in_flight.fetch_add(total, Ordering::SeqCst);
         inner.root_children.add_children(total);
 
-        // Phase 2 — one gate acquisition for the whole (super-)batch.
+        // Phase 2 — one lock acquisition for the whole (super-)batch.
         let mut prewired = false;
         let batch = if let Some(plan) = &plan {
             match inner
@@ -757,11 +750,11 @@ impl Runtime {
                     // repeats. The plan is kept: the conflict is usually a
                     // transient tombstone the next GC sweep drops.
                     graph::unwire_batch(nodes);
-                    inner.tracker.register_batch(nodes, &plan.sids, trace_enabled)
+                    inner.tracker.register_batch(nodes, trace_enabled)
                 }
             }
         } else {
-            inner.tracker.register_batch(nodes, sids, trace_enabled)
+            inner.tracker.register_batch(nodes, trace_enabled)
         };
         inner.stats.add(StatField::EdgesAdded, batch.edges as u64);
         inner.stats.add(StatField::EdgesRaw, batch.raw_edges as u64);
@@ -783,11 +776,12 @@ impl Runtime {
 
         // Freeze attempt — a resolved pass with empty bindings that used no
         // version machinery proves the batch renaming-free; bake it. Done
-        // outside any gate (the shadow registration touches no live shard).
+        // outside the tracker lock (the shadow registration touches no live
+        // history).
         if pure {
             let mut frozen = template.frozen.lock();
             if frozen.is_none() {
-                *frozen = graph::build_frozen_plan(&nodes[..n], &inner.tracker).map(Arc::new);
+                *frozen = graph::build_frozen_plan(&nodes[..n]).map(Arc::new);
             }
         }
 
@@ -805,12 +799,10 @@ impl Runtime {
             // frontier-only on the pre-wired path — indexed by the stored
             // batch position either way.
             for (i, edge_list) in &batch.per_task {
-                for edge in edge_list {
+                for &from in edge_list {
                     inner.trace.record(TraceEvent::Edge {
                         task: nodes[*i].id,
-                        from: edge.pred,
-                        shard: edge.shard,
-                        fast_path: false,
+                        from,
                         at_ns: inner.trace.now_ns(),
                     });
                 }
@@ -823,8 +815,6 @@ impl Runtime {
                             inner.trace.record(TraceEvent::Edge {
                                 task: nodes[b + e.succ].id,
                                 from: nodes[b + e.pred].id,
-                                shard: e.shard,
-                                fast_path: false,
                                 at_ns: inner.trace.now_ns(),
                             });
                         }
@@ -877,8 +867,8 @@ impl Runtime {
         }
         inner.sched.push_spawn_batch(ready);
         template.return_scratch(scratch);
-        // GC cadence after every lock is released — the sweep takes each
-        // shard's gate itself.
+        // GC cadence after the batch lock is released — the sweep takes the
+        // tracker lock itself.
         if inner.note_batch_spawned(total as u64) {
             inner.tracker.garbage_collect();
         }

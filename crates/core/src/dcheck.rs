@@ -42,7 +42,7 @@
 //! # Interaction with replay batches and poison
 //!
 //! Replay-stamped tasks flow through the same two clock sources: batch
-//! registration assigns indices in stamp order before the batch gate, and
+//! registration assigns indices in stamp order before the tracker lock, and
 //! the completed snapshot is merged per node after `register_batch` /
 //! `register_batch_prewired` returns — pre-wired edges need no special
 //! handling because clocks merge at *completion* time along the live
@@ -62,7 +62,7 @@
 //! [`Runtime::audit`](crate::Runtime::audit) unifies the drain-time
 //! identities that were previously asserted piecemeal across the test
 //! suites: the task ledger (`executed + poisoned + cancelled == spawned`),
-//! every tracker shard gate even at quiescence, tombstones and by-alloc
+//! the tracker lock free at quiescence, tombstones and by-alloc
 //! maps scrubbed after GC, slab `outstanding == 0`, and version-ticket
 //! bind/release balance. Under dcheck the audit runs automatically at every
 //! quiescent `taskwait`/`barrier`; the service layer's stall watchdog calls
@@ -261,12 +261,9 @@ pub enum AuditViolation {
         /// Tasks in flight at audit time.
         in_flight: u64,
     },
-    /// A tracker shard's sequence gate read odd at quiescence — some
-    /// registration or retirement never released it.
-    GateHeld {
-        /// Index of the held shard.
-        shard: usize,
-    },
+    /// The tracker lock was held at quiescence — some registration or
+    /// retirement never released it.
+    TrackerLocked,
     /// The tracker still holds region or allocation history after a
     /// quiescent GC sweep (tombstones or by-alloc entries leaked).
     TrackerResidue {

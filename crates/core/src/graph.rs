@@ -27,73 +27,43 @@
 //! special-case; it classifies every edge it does insert (RAW / WAR / WAW)
 //! so the effect of renaming is visible in the statistics.
 //!
-//! ## Sharding
+//! ## One lock
 //!
-//! The tracker is the insertion-side critical path: every spawned task takes
-//! it to register, and (since the retire path landed) every completed task
-//! takes it again to retire its history. A single map behind a single lock
-//! serialises all of that, so the tracker is **sharded by allocation id**:
-//! [`ShardedTracker`] routes every region to the shard
-//! `alloc_id % num_shards`, and each [`TrackerShard`] owns its own lock,
-//! `entries` map, `by_alloc` index and retire path. Renaming gives every data
-//! version a fresh allocation id, so shards stay naturally balanced.
+//! The whole history — the `entries` map, the `by_alloc` overlap index and
+//! the scratch buffers — is one `TrackerState` behind one mutex. Every
+//! tracker operation takes that lock exactly once: a registration (all
+//! three passes, whatever allocations its accesses span), a retirement (a
+//! walk over the task's accesses), a whole replay batch (resolved or
+//! pre-wired), a garbage-collection sweep and a `taskwait on` lookup. The
+//! lock is tried before it blocks, so contended acquisitions are counted
+//! ([`RuntimeStats::tracker_lock_contention`](crate::RuntimeStats::tracker_lock_contention)).
 //!
-//! A registration that touches several allocations locks every involved
-//! shard **in canonical order** (ascending shard index) and holds them all
-//! for the whole registration, which keeps multi-shard registration atomic
-//! (the linearisation point of the spawn) and deadlock-free. Because regions
-//! of one allocation always live in exactly one shard, the per-registration
-//! outcome — predecessors discovered, edges added, and their order — is
-//! identical for every shard count; `tests/tracker_equivalence.rs` pins this.
+//! A registration is therefore trivially atomic with respect to every other
+//! registration and retirement (its linearisation point is the lock), and
+//! the steady state allocates nothing: the predecessor and dedup buffers are
+//! scratch fields of the locked state, left empty after each use. A single
+//! lock also keeps the protocol small enough to model-check.
 //!
-//! ## The optimistic fast path
-//!
-//! Most tasks declare one or two accesses on a single allocation (renaming
-//! makes this the steady state: every version is a fresh allocation), so the
-//! dominant registration touches exactly one shard. For that case each shard
-//! carries a seqlock-style **sequence gate** (`AtomicU64`; even = quiescent,
-//! odd = a mutator holds the shard): a single-shard registration publishes
-//! itself with **one CAS** on the gate — no mutex, no blocking — walks the
-//! shard history to discover its RAW/WAR/WAW predecessors exactly as the
-//! locked path would, records its accesses, and releases the gate with one
-//! store. Per-shard scratch buffers make the steady-state fast path
-//! allocation-free. The CAS either succeeds immediately or the registration
-//! **falls back** to the mutex path; fallbacks happen on
-//!
-//! * contention (another registration, retirement or `taskwait on` lookup
-//!   holds the shard),
-//! * multi-allocation spans (accesses mapping to more than one shard), and
-//! * garbage collection in progress (GC locks every shard, which holds every
-//!   gate odd for the duration of the sweep).
-//!
-//! The mutex path *also* acquires the gate (after the mutex, waiting out at
-//! most one short fast-path publication), so the gate is the single point of
-//! mutual exclusion per shard and both paths mutate the same history maps —
-//! which is why the edge multiset is byte-identical between the optimistic
-//! and the forced-locked configuration
-//! ([`RuntimeConfig::with_tracker_fast_path`](crate::RuntimeConfig::with_tracker_fast_path));
-//! `tests/tracker_equivalence.rs` pins that too. Hits and fallbacks are
-//! counted (`tracker_fast_path_hits` / `tracker_fast_path_fallbacks` in
-//! [`RuntimeStats`](crate::RuntimeStats)), and traced edges carry a
-//! `fast_path` flag. Completion retirement of single-access tasks uses the
-//! same single-CAS protocol.
+//! One lock rather than one per allocation group: the tasks that dominate
+//! fine-grained work read one allocation and write another (`input(prev)`
+//! plus `output(cur)`), so any split of the history by allocation would
+//! make them pay two acquisitions per registration and per retirement. The
+//! README ("Dependence tracker") has the measurement.
 //!
 //! ## Retirement
 //!
-//! When a task completes, the worker retires it through the router: each of
-//! its history references is replaced, under the owning shard's lock only, by
-//! a lightweight *tombstone* (its [`TaskId`]). Tombstones keep
-//! `predecessors_seen` deterministic (a completed-but-conflicting predecessor
-//! is still *seen*, exactly as before the retire path existed) while
-//! releasing the task node itself — closures, successor lists, version
-//! tickets — as soon as the task finishes. [`TrackerShard::garbage_collect`]
-//! then drops tombstoned entries and scrubs `by_alloc`, so fully retired
-//! allocations leave both maps; it runs per shard, periodically from the
-//! spawn path and at every quiescent `taskwait`.
+//! When a task completes, the worker retires it: each of its history
+//! references is replaced, under the lock, by a lightweight *tombstone* (its
+//! [`TaskId`]). Tombstones keep `predecessors_seen` deterministic (a
+//! completed-but-conflicting predecessor is still *seen*, exactly as before
+//! the retire path existed) while releasing the task node itself — closures,
+//! successor lists, version tickets — as soon as the task finishes.
+//! Garbage collection then drops tombstoned entries and scrubs
+//! `by_alloc`, so fully retired allocations leave both maps; it runs
+//! periodically from the spawn path and at every quiescent `taskwait`.
 //!
 //! [`crate::rename`]: crate::rename
 
-use std::cell::UnsafeCell;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -102,7 +72,6 @@ use parking_lot::{Mutex, MutexGuard};
 
 use crate::access::{Access, AccessKind, AccessVec, Dependence};
 use crate::region::{AllocId, Region, RegionId};
-use crate::stats::TrackerCounters;
 use crate::task::{TaskId, TaskNode, TaskState};
 
 /// A cheap multiply–xorshift hasher for the tracker's id-keyed maps.
@@ -195,240 +164,16 @@ impl RegionEntry {
 }
 
 /// A predecessor discovered during registration: its identity, the live node
-/// (when an edge can still be added), the dependence class of the first
-/// conflict that introduced it, and the shard it was found in.
+/// (when an edge can still be added), and the dependence class of the first
+/// conflict that introduced it.
 struct PredRef {
     id: TaskId,
     live: Option<Arc<TaskNode>>,
     dependence: Dependence,
-    shard: usize,
-}
-
-/// One shard of the dependence tracker: the region history and per-allocation
-/// index for every allocation routed to it. All methods expect the caller
-/// (the [`ShardedTracker`] router) to hold this shard's lock.
-#[derive(Default)]
-pub(crate) struct TrackerShard {
-    entries: HashMap<RegionId, RegionEntry, IdBuildHasher>,
-    /// All region ids currently tracked per allocation, used for overlap
-    /// scans.
-    by_alloc: HashMap<AllocId, Vec<RegionId>, IdBuildHasher>,
-    /// Scratch buffers reused by every single-shard registration — the
-    /// optimistic fast path *and* the mutex path — so the steady-state
-    /// registration allocates nothing on either tier. Only ever touched
-    /// while the shard's gate is held (exclusive access), and always left
-    /// empty.
-    scratch_preds: Vec<PredRef>,
-    scratch_seen: Vec<TaskId>,
-    /// Scratch set reused by [`TrackerShard::garbage_collect`], so periodic
-    /// and quiescent sweeps stay allocation-free in steady state too.
-    scratch_gc: HashSet<RegionId, IdBuildHasher>,
-}
-
-impl TrackerShard {
-    /// Pass 1 of registration: collect the predecessors `access` conflicts
-    /// with from this shard's history, deduplicated across `seen`.
-    fn collect_preds(
-        &self,
-        access: &Access,
-        shard: usize,
-        preds: &mut Vec<PredRef>,
-        seen: &mut Vec<TaskId>,
-    ) {
-        // Iterate the allocation's region ids in place (same order as
-        // `overlapping_ids`, without materialising the id list — this runs
-        // once per access on the insertion hot path).
-        let Some(ids) = self.by_alloc.get(&access.region.id.alloc) else {
-            return;
-        };
-        for rid in ids {
-            let entry = match self.entries.get(rid) {
-                Some(e) => e,
-                None => continue,
-            };
-            match &entry.region {
-                Some(r) if r.overlaps(&access.region) => {}
-                _ => continue,
-            }
-            let later = access.kind;
-            // Statistics classification. This deliberately diverges from
-            // `access::classify` for read-modify-writes: an `inout` (or
-            // `concurrent`) after a writer *reads* the written data, so
-            // the edge carries a genuine data flow and is counted RAW —
-            // it is not serialisation that renaming could remove. WAR and
-            // WAW are reserved for edges where the successor overwrites
-            // without reading (the renameable false dependences).
-            let vs_writer = if later.reads() {
-                Dependence::ReadAfterWrite
-            } else {
-                Dependence::WriteAfterWrite
-            };
-            // Earlier writers always order later readers and writers.
-            for w in &entry.writers {
-                push_pred(preds, seen, w, vs_writer, shard);
-            }
-            match later {
-                AccessKind::Input => {
-                    // RAW only; concurrent accumulators count as writers.
-                    for c in &entry.concurrent {
-                        push_pred(preds, seen, c, Dependence::ReadAfterWrite, shard);
-                    }
-                }
-                AccessKind::Output | AccessKind::InOut => {
-                    for r in &entry.readers {
-                        push_pred(preds, seen, r, Dependence::WriteAfterRead, shard);
-                    }
-                    for c in &entry.concurrent {
-                        push_pred(preds, seen, c, vs_writer, shard);
-                    }
-                }
-                AccessKind::Concurrent => {
-                    // Order against plain readers, not against other
-                    // concurrent accesses.
-                    for r in &entry.readers {
-                        push_pred(preds, seen, r, Dependence::WriteAfterRead, shard);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Pass 3 of registration: record `access` of `node` in this shard's
-    /// history so that future tasks depend on `node` where required.
-    fn record_access(&mut self, access: &Access, node: &Arc<TaskNode>) {
-        let rid = access.region.id;
-        let ids = self.by_alloc.entry(rid.alloc).or_default();
-        ids.retain(|r| *r != rid);
-        ids.push(rid);
-        let entry = self.entries.entry(rid).or_default();
-        if entry.region.is_none() {
-            entry.region = Some(access.region.clone());
-        }
-        match access.kind {
-            AccessKind::Input => entry.readers.push(HistoryRef::Live(node.clone())),
-            AccessKind::Output | AccessKind::InOut => {
-                entry.writers.clear();
-                entry.writers.push(HistoryRef::Live(node.clone()));
-                entry.readers.clear();
-                entry.concurrent.clear();
-            }
-            AccessKind::Concurrent => entry.concurrent.push(HistoryRef::Live(node.clone())),
-        }
-    }
-
-    /// Bulk-publish one [`FrozenInstall`]: replace the region's history with
-    /// the batch's baked net effect — exactly the state the per-task
-    /// `record_access` interleave of a resolved registration would have left
-    /// (an in-batch overwrite rebuilds the lists from scratch, so the final
-    /// state is a pure function of the batch). `nodes` is the current
-    /// iteration's node slice; the install's positions index into it. In the
-    /// warm steady state this allocates nothing: the entry, its list
-    /// capacities and the `by_alloc` slot all survive from the previous
-    /// pass.
-    fn apply_install(&mut self, inst: &FrozenInstall, nodes: &[Arc<TaskNode>]) {
-        let rid = inst.region.id;
-        let ids = self.by_alloc.entry(rid.alloc).or_default();
-        ids.retain(|r| *r != rid);
-        ids.push(rid);
-        let entry = self.entries.entry(rid).or_default();
-        if entry.region.is_none() {
-            entry.region = Some(inst.region.clone());
-        }
-        entry.writers.clear();
-        entry.readers.clear();
-        entry.concurrent.clear();
-        for &p in &inst.writers {
-            entry.writers.push(HistoryRef::Live(nodes[p].clone()));
-        }
-        for &p in &inst.readers {
-            entry.readers.push(HistoryRef::Live(nodes[p].clone()));
-        }
-        for &p in &inst.concurrent {
-            entry.concurrent.push(HistoryRef::Live(nodes[p].clone()));
-        }
-    }
-
-    /// Replace every live history reference of task `id` under region `rid`
-    /// with a tombstone (the retire path). A reference already cleared by a
-    /// later writer generation is silently gone — that is fine.
-    fn retire_region(&mut self, rid: RegionId, id: TaskId) {
-        if let Some(entry) = self.entries.get_mut(&rid) {
-            for list in entry.lists_mut() {
-                for r in list.iter_mut() {
-                    if r.id() == id && r.live().is_some() {
-                        *r = HistoryRef::Retired(id);
-                    }
-                }
-            }
-        }
-    }
-
-    /// All in-flight tasks in this shard currently accessing a region
-    /// overlapping `region` (used by `taskwait on`).
-    fn tasks_touching(&self, region: &Region) -> Vec<Arc<TaskNode>> {
-        let mut out: Vec<Arc<TaskNode>> = Vec::new();
-        let mut seen: Vec<TaskId> = Vec::new();
-        for rid in self.overlapping_ids(region) {
-            if let Some(entry) = self.entries.get(&rid) {
-                for t in entry
-                    .writers
-                    .iter()
-                    .chain(entry.readers.iter())
-                    .chain(entry.concurrent.iter())
-                    .filter_map(HistoryRef::live)
-                {
-                    if !t.is_completed() && !seen.contains(&t.id) {
-                        seen.push(t.id);
-                        out.push(t.clone());
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Drop history references that no longer pin anything (tombstones and
-    /// completed tasks), then entries left empty, then the `by_alloc` ids of
-    /// dropped entries — so a fully retired allocation leaves **both** maps
-    /// (`tests` pin this; `by_alloc` held stale region ids otherwise).
-    fn garbage_collect(&mut self) {
-        self.entries.retain(|_, e| {
-            e.writers.retain(HistoryRef::is_live_incomplete);
-            e.readers.retain(HistoryRef::is_live_incomplete);
-            e.concurrent.retain(HistoryRef::is_live_incomplete);
-            !(e.writers.is_empty() && e.readers.is_empty() && e.concurrent.is_empty())
-        });
-        let mut live = std::mem::take(&mut self.scratch_gc);
-        debug_assert!(live.is_empty());
-        live.extend(self.entries.keys().copied());
-        self.by_alloc.retain(|_, ids| {
-            ids.retain(|r| live.contains(r));
-            !ids.is_empty()
-        });
-        live.clear();
-        self.scratch_gc = live;
-    }
-
-    fn overlapping_ids(&self, region: &Region) -> Vec<RegionId> {
-        let mut out = Vec::new();
-        if let Some(ids) = self.by_alloc.get(&region.id.alloc) {
-            for rid in ids {
-                if let Some(entry) = self.entries.get(rid) {
-                    if let Some(r) = &entry.region {
-                        if r.overlaps(region) {
-                            out.push(*rid);
-                        }
-                    }
-                }
-            }
-        }
-        // The exact region id may not be recorded yet; that is fine — no
-        // history means no predecessors.
-        out
-    }
 }
 
 /// Result of registering a task with the tracker.
+#[derive(Default)]
 pub(crate) struct Registration {
     /// Number of predecessor edges actually added (predecessors that had not
     /// yet completed).
@@ -446,26 +191,15 @@ pub(crate) struct Registration {
     /// garbage-collected), which makes it the right counter for tests and
     /// comparisons that must be deterministic under load.
     pub predecessors_seen: usize,
-    /// The added edges, for trace recording: predecessor id plus the tracker
-    /// shard the conflict was found in. Populated only when the caller asked
-    /// for it (tracing enabled).
-    pub edge_list: Vec<EdgeRecord>,
-    /// Whether this registration went through the optimistic (gate-CAS)
-    /// single-shard fast path rather than the mutex path.
-    pub fast_path: bool,
-}
-
-/// One added dependence edge, as reported to the trace.
-pub(crate) struct EdgeRecord {
-    /// The predecessor task of the edge.
-    pub pred: TaskId,
-    /// Tracker shard in which the conflict was discovered.
-    pub shard: usize,
+    /// The predecessors of the added edges, for trace recording. Populated
+    /// only when the caller asked for it (tracing enabled).
+    pub edge_list: Vec<TaskId>,
 }
 
 /// Result of registering a whole template-replay batch with the tracker
-/// under a single multi-gate acquisition: the [`Registration`] counters
-/// summed over the batch, plus optional per-task edge records for tracing.
+/// under a single lock acquisition: the [`Registration`] counters summed
+/// over the batch, plus optional per-task edge records for tracing.
+#[derive(Default)]
 pub(crate) struct BatchRegistration {
     /// Predecessor edges actually added, summed over the batch
     /// (intra-batch edges included).
@@ -479,24 +213,36 @@ pub(crate) struct BatchRegistration {
     /// Distinct conflicting predecessors seen, summed (see
     /// [`Registration::predecessors_seen`]).
     pub predecessors_seen: usize,
-    /// `(batch index, added edges)` per task, in batch order. Populated only
-    /// when the caller asked for edge records (tracing enabled); empty — and
-    /// allocation-free — otherwise. The pre-wired path records only the
-    /// *frontier* tasks here (interior edges come from the plan), so entries
-    /// are sparse: index by the stored batch position, not by vector offset.
-    pub per_task: Vec<(usize, Vec<EdgeRecord>)>,
+    /// `(batch index, edge predecessors)` per task, in batch order.
+    /// Populated only when the caller asked for edge records (tracing
+    /// enabled); empty — and allocation-free — otherwise. The pre-wired path
+    /// records only the *frontier* tasks here (interior edges come from the
+    /// plan), so entries are sparse: index by the stored batch position, not
+    /// by vector offset.
+    pub per_task: Vec<(usize, Vec<TaskId>)>,
+}
+
+impl BatchRegistration {
+    /// Fold one task's registration (at batch position `i`) into the sums.
+    fn add(&mut self, i: usize, reg: Registration, record_edges: bool) {
+        self.edges += reg.edges;
+        self.raw_edges += reg.raw_edges;
+        self.war_edges += reg.war_edges;
+        self.waw_edges += reg.waw_edges;
+        self.predecessors_seen += reg.predecessors_seen;
+        if record_edges {
+            self.per_task.push((i, reg.edge_list));
+        }
+    }
 }
 
 /// One pre-resolved intra-batch dependence edge of a [`FrozenPlan`]: both
-/// endpoints are batch positions (stable across passes — task ids are not),
-/// plus the shard label the live scan would have produced, so traces stay
-/// byte-identical with re-derivation. The dependence *class* is not stored
-/// per edge — the per-pass RAW/WAR/WAW contributions are pre-summed into
-/// the plan's counters at freeze time.
+/// endpoints are batch positions (stable across passes — task ids are not).
+/// The dependence *class* is not stored per edge — the per-pass RAW/WAR/WAW
+/// contributions are pre-summed into the plan's counters at freeze time.
 pub(crate) struct FrozenEdge {
     pub pred: usize,
     pub succ: usize,
-    pub shard: usize,
 }
 
 /// A replay batch frozen into pre-wired form by [`build_frozen_plan`]: the
@@ -504,8 +250,8 @@ pub(crate) struct FrozenEdge {
 /// with zero renames, tickets or binding substitutions, so every clause
 /// resolves to the same plain region every time), the intra-batch edges and
 /// dep counts of every *interior* task baked in, and the validation keys
-/// that let [`ShardedTracker::register_batch_prewired`] prove, under the
-/// gate, that the baked edges are still the edges a live scan would derive.
+/// that let [`Tracker::register_batch_prewired`] prove, under the lock, that
+/// the baked edges are still the edges a live scan would derive.
 ///
 /// A task is **interior** when every one of its accesses lands on a region
 /// some earlier in-batch task fully overwrote (`output`/`inout` clears the
@@ -515,13 +261,11 @@ pub(crate) struct FrozenEdge {
 /// *empty* history — are its real predecessors on every pass. Every other
 /// task is **frontier**: its history scan can see pre-batch state (the
 /// previous iteration's tasks still in flight), so it is registered live
-/// under the gate each pass. In an iterative workload the frontier is the
+/// under the lock each pass. In an iterative workload the frontier is the
 /// first write per region — a small fixed fringe of the batch.
 pub(crate) struct FrozenPlan {
     /// Resolved accesses per task, cloned into each pass's nodes.
     pub accesses: Vec<AccessVec>,
-    /// Sorted, deduplicated union of tracker shards the batch touches.
-    pub sids: Vec<usize>,
     /// The region ids the batch uses on each allocation it touches —
     /// pairwise **disjoint** by construction (chunked partitions qualify,
     /// sub-region mixes do not: an overlapping pair would let one region's
@@ -581,8 +325,6 @@ impl FrozenPlan {
 pub(crate) struct FrozenInstall {
     /// The region (carries the id; the range seeds a fresh entry).
     pub region: Region,
-    /// Live tracker shard of the region's allocation.
-    pub shard: usize,
     /// Final writer generation (a single position: the last overwriter).
     pub writers: Vec<usize>,
     /// Readers since the last writer generation, in batch order.
@@ -603,14 +345,12 @@ pub(crate) struct FrozenInstall {
 ///
 /// The plan is built by *shadow registration*: the batch runs the very same
 /// `collect_preds`/`record_access` passes a live registration runs, against
-/// a throwaway empty shard. For interior tasks the shadow history at their
-/// position equals the live history (both were rebuilt from scratch by the
-/// same in-batch writes), so the shadow edges are the real edges — the
-/// classification logic is shared with the live path, not re-implemented.
-pub(crate) fn build_frozen_plan(
-    nodes: &[Arc<TaskNode>],
-    tracker: &ShardedTracker,
-) -> Option<FrozenPlan> {
+/// a throwaway empty [`TrackerState`]. For interior tasks the shadow history
+/// at their position equals the live history (both were rebuilt from
+/// scratch by the same in-batch writes), so the shadow edges are the real
+/// edges — the classification logic is shared with the live path, not
+/// re-implemented.
+pub(crate) fn build_frozen_plan(nodes: &[Arc<TaskNode>]) -> Option<FrozenPlan> {
     let n = nodes.len();
     if n == 0 {
         return None;
@@ -636,13 +376,12 @@ pub(crate) fn build_frozen_plan(
         .into_iter()
         .map(|(a, rs)| (a, rs.into_iter().map(|r| r.id).collect()))
         .collect();
-    let mut shadow = TrackerShard::default();
+    let mut shadow = TrackerState::default();
     // Regions fully overwritten by an earlier in-batch `output`/`inout`.
     let mut cleared: Vec<RegionId> = Vec::new();
     let mut index_of: HashMap<TaskId, usize, IdBuildHasher> = HashMap::default();
     let mut plan = FrozenPlan {
         accesses: Vec::with_capacity(n),
-        sids: Vec::new(),
         allocs,
         frontier: vec![false; n],
         scan_upto: 0,
@@ -666,11 +405,7 @@ pub(crate) fn build_frozen_plan(
         preds.clear();
         seen.clear();
         for access in node.accesses.iter() {
-            let sid = tracker.shard_of(access.region.id.alloc);
-            plan.sids.push(sid);
-            // The shard label is the live shard of the access, not the
-            // shadow's — traces must match the live scan's labelling.
-            shadow.collect_preds(access, sid, &mut preds, &mut seen);
+            shadow.collect_preds(access, &mut preds, &mut seen);
         }
         if !is_frontier {
             for pred in &preds {
@@ -680,11 +415,7 @@ pub(crate) fn build_frozen_plan(
                 let p = *index_of
                     .get(&pred.id)
                     .expect("shadow history only ever holds in-batch tasks");
-                plan.edges.push(FrozenEdge {
-                    pred: p,
-                    succ: i,
-                    shard: pred.shard,
-                });
+                plan.edges.push(FrozenEdge { pred: p, succ: i });
                 plan.baked_in[i] += 1;
                 match pred.dependence {
                     Dependence::ReadAfterWrite => plan.baked_raw += 1,
@@ -705,8 +436,6 @@ pub(crate) fn build_frozen_plan(
         }
         plan.accesses.push(node.accesses.clone());
     }
-    plan.sids.sort_unstable();
-    plan.sids.dedup();
     plan.scan_upto = plan.frontier.iter().rposition(|&f| f).map_or(0, |p| p + 1);
     // Bake the batch's net history effect per overwritten region from the
     // shadow's final state. `cleared` (first-overwrite order) keeps the
@@ -723,7 +452,6 @@ pub(crate) fn build_frozen_plan(
             .expect("an overwritten region has a shadow entry");
         plan.installs.push(FrozenInstall {
             region: entry.region.clone().expect("recorded regions carry bytes"),
-            shard: tracker.shard_of(rid.alloc),
             writers: to_positions(&entry.writers),
             readers: to_positions(&entry.readers),
             concurrent: to_positions(&entry.concurrent),
@@ -744,12 +472,12 @@ pub(crate) fn build_frozen_plan(
 }
 
 /// Wire the baked edges of `plan` into `iterations` consecutive copies of
-/// the batch **before** any gate is taken: push each interior successor onto
-/// its predecessor's link list, bump its `pending`, and store the baked
-/// in-edge counts. Nothing here touches tracker state — the nodes are
-/// unpublished (their registration sentinel is still up), so no predecessor
-/// can complete out from under the wiring and `add_edge` semantics are
-/// preserved exactly.
+/// the batch **before** the tracker lock is taken: push each interior
+/// successor onto its predecessor's link list, bump its `pending`, and store
+/// the baked in-edge counts. Nothing here touches tracker state — the nodes
+/// are unpublished (their registration sentinel is still up), so no
+/// predecessor can complete out from under the wiring and `add_edge`
+/// semantics are preserved exactly.
 pub(crate) fn prewire_batch(nodes: &[Arc<TaskNode>], plan: &FrozenPlan, iterations: usize) {
     let per = plan.len();
     debug_assert_eq!(nodes.len(), per * iterations);
@@ -774,7 +502,7 @@ pub(crate) fn prewire_batch(nodes: &[Arc<TaskNode>], plan: &FrozenPlan, iteratio
 
 /// Undo [`prewire_batch`] after the plan failed live validation: drop the
 /// baked successor links and reset every node's registration sentinel so an
-/// ordinary [`ShardedTracker::register_batch`] can start from scratch.
+/// ordinary [`Tracker::register_batch`] can start from scratch.
 pub(crate) fn unwire_batch(nodes: &[Arc<TaskNode>]) {
     for node in nodes {
         node.links.lock().successors.clear();
@@ -783,607 +511,332 @@ pub(crate) fn unwire_batch(nodes: &[Arc<TaskNode>]) {
     }
 }
 
-/// Shard-count-aware diagnostics of the dependence tracker, from
+/// Diagnostics of the dependence tracker, from
 /// [`Runtime::tracker_diagnostics`](crate::Runtime::tracker_diagnostics).
 /// Counts *currently tracked* state — after a quiescent `taskwait` (which
 /// garbage-collects) everything should read zero; a monotonically growing
 /// count across quiescent points is a leak.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrackerDiagnostics {
-    /// Regions currently tracked, per shard.
-    pub regions_per_shard: Vec<usize>,
-    /// Allocations currently indexed in `by_alloc`, per shard.
-    pub allocs_per_shard: Vec<usize>,
-    /// Registrations that went through the optimistic single-shard fast path
-    /// (monotonic; see the module docs).
-    pub fast_path_hits: u64,
-    /// Registrations that wanted the fast path but fell back to the mutex
-    /// path (contention, multi-allocation span, or GC in progress).
-    pub fast_path_fallbacks: u64,
+    regions: usize,
+    allocs: usize,
 }
 
 impl TrackerDiagnostics {
-    /// Number of tracker shards.
-    pub fn shards(&self) -> usize {
-        self.regions_per_shard.len()
-    }
-
-    /// Total regions tracked across all shards.
+    /// Regions currently tracked.
     pub fn total_regions(&self) -> usize {
-        self.regions_per_shard.iter().sum()
+        self.regions
     }
 
-    /// Total allocations indexed across all shards.
+    /// Allocations currently indexed in the overlap index.
     pub fn total_allocs(&self) -> usize {
-        self.allocs_per_shard.iter().sum()
+        self.allocs
     }
 }
 
-/// One shard cell of the tracker: the history data plus the two-tier
-/// exclusion protecting it.
-///
-/// * `gate` is the seqlock-style sequence counter and the **single point of
-///   mutual exclusion**: even = quiescent, odd = some mutator (fast path or
-///   mutex path) owns the shard. The optimistic fast path acquires it with
-///   one CAS and never blocks (CAS failure → fallback).
-/// * `queue` is the blocking tier for the mutex path: it serialises slow
-///   acquirers so that, once a thread holds `queue`, the only competitor for
-///   the gate is a short fast-path publication — the gate spin is bounded.
-///
-/// All access to `data` — reads included — happens with the gate held odd.
-struct ShardSlot {
-    gate: AtomicU64,
-    queue: Mutex<()>,
-    data: UnsafeCell<TrackerShard>,
+/// The dependence tracker's history: the region entries and per-allocation
+/// overlap index, plus scratch buffers. Only ever reached through the
+/// [`Tracker`]'s lock (or owned outright, as the shadow of
+/// [`build_frozen_plan`]).
+#[derive(Default)]
+pub(crate) struct TrackerState {
+    entries: HashMap<RegionId, RegionEntry, IdBuildHasher>,
+    /// All region ids currently tracked per allocation, used for overlap
+    /// scans.
+    by_alloc: HashMap<AllocId, Vec<RegionId>, IdBuildHasher>,
+    /// Scratch buffers reused by every registration, so the steady-state
+    /// registration allocates nothing. Always left empty.
+    scratch_preds: Vec<PredRef>,
+    scratch_seen: Vec<TaskId>,
+    /// Scratch set reused by [`TrackerState::garbage_collect`], so periodic
+    /// and quiescent sweeps stay allocation-free in steady state too.
+    scratch_gc: HashSet<RegionId, IdBuildHasher>,
 }
 
-/// Flag bit in the gate word set by a mutex-path acquirer while it waits:
-/// fast-path publications refuse while it is set, so the (single — the
-/// queue mutex serialises slow acquirers) waiter cannot be starved by a
-/// stream of fast publications. The sequence occupies the remaining bits.
-const GATE_WAITER: u64 = 1 << 63;
+/// The dependence tracker: one [`TrackerState`] behind one lock, plus the
+/// contention counter. See the module docs.
+#[derive(Default)]
+pub(crate) struct Tracker {
+    state: Mutex<TrackerState>,
+    /// Acquisitions that found the lock held and had to block.
+    contention: AtomicU64,
+}
 
-// SAFETY: `data` is only ever accessed while the shard's gate is held odd
-// (acquired with an Acquire CAS, released with a Release store), which makes
-// every access exclusive; `TrackerShard` itself is `Send` (task nodes are
-// `Send + Sync`).
-unsafe impl Sync for ShardSlot {}
-
-// lint: hot-path-begin — gate/guard tier: every task registration and
-// completion passes through here; no panicking calls allowed (see
-// `cargo xtask lint`).
-impl ShardSlot {
-    fn new() -> Self {
-        ShardSlot {
-            gate: AtomicU64::new(0),
-            queue: Mutex::new(()),
-            data: UnsafeCell::new(TrackerShard::default()),
-        }
-    }
-
-    /// Spin until the gate is acquired. Callers hold `queue`, so at most one
-    /// thread runs this per shard at a time; it first raises [`GATE_WAITER`],
-    /// which makes every new fast-path publication fall back, so the wait is
-    /// bounded by the one publication already in flight (the fast path never
-    /// blocks while holding the gate).
-    fn acquire_gate(&self) {
-        self.gate.fetch_or(GATE_WAITER, Ordering::Relaxed);
-        let mut spins = 0u32;
-        loop {
-            let seq = self.gate.load(Ordering::Relaxed);
-            if seq & 1 == 0
-                && self
-                    .gate
-                    .compare_exchange_weak(
-                        seq,
-                        (seq & !GATE_WAITER) + 1,
-                        Ordering::Acquire,
-                        Ordering::Relaxed,
-                    )
-                    .is_ok()
-            {
-                return;
+// lint: hot-path-begin — the tracker lock and completion tier: every task
+// registration and completion passes through here; no panicking calls
+// allowed (see `cargo xtask lint`).
+impl TrackerState {
+    /// Pass 1 of registration: collect the predecessors `access` conflicts
+    /// with, deduplicated across `seen`.
+    fn collect_preds(&self, access: &Access, preds: &mut Vec<PredRef>, seen: &mut Vec<TaskId>) {
+        // Iterate the allocation's region ids in place (without
+        // materialising the id list — this runs once per access on the
+        // insertion hot path).
+        let Some(ids) = self.by_alloc.get(&access.region.id.alloc) else {
+            return;
+        };
+        for rid in ids {
+            let entry = match self.entries.get(rid) {
+                Some(e) => e,
+                None => continue,
+            };
+            match &entry.region {
+                Some(r) if r.overlaps(&access.region) => {}
+                _ => continue,
             }
-            if spins < 64 {
-                std::hint::spin_loop();
-                spins += 1;
+            let later = access.kind;
+            // Statistics classification. This deliberately diverges from
+            // `access::classify` for read-modify-writes: an `inout` (or
+            // `concurrent`) after a writer *reads* the written data, so
+            // the edge carries a genuine data flow and is counted RAW —
+            // it is not serialisation that renaming could remove. WAR and
+            // WAW are reserved for edges where the successor overwrites
+            // without reading (the renameable false dependences).
+            let vs_writer = if later.reads() {
+                Dependence::ReadAfterWrite
             } else {
-                std::thread::yield_now();
+                Dependence::WriteAfterWrite
+            };
+            // Earlier writers always order later readers and writers.
+            for w in &entry.writers {
+                push_pred(preds, seen, w, vs_writer);
+            }
+            match later {
+                AccessKind::Input => {
+                    // RAW only; concurrent accumulators count as writers.
+                    for c in &entry.concurrent {
+                        push_pred(preds, seen, c, Dependence::ReadAfterWrite);
+                    }
+                }
+                AccessKind::Output | AccessKind::InOut => {
+                    for r in &entry.readers {
+                        push_pred(preds, seen, r, Dependence::WriteAfterRead);
+                    }
+                    for c in &entry.concurrent {
+                        push_pred(preds, seen, c, vs_writer);
+                    }
+                }
+                AccessKind::Concurrent => {
+                    // Order against plain readers, not against other
+                    // concurrent accesses.
+                    for r in &entry.readers {
+                        push_pred(preds, seen, r, Dependence::WriteAfterRead);
+                    }
+                }
             }
         }
     }
 
-    /// As [`ShardSlot::acquire_gate`], but safe to call *without* holding
-    /// `queue`: the batch replay path takes a whole set of gates directly
-    /// (collecting the queue mutex guards would allocate), so several
-    /// waiters may spin here concurrently. Re-raising [`GATE_WAITER`] on
-    /// every failed iteration keeps fast-path publications locked out even
-    /// after another waiter's acquisition cleared the flag, so the wait
-    /// stays bounded by real mutator work rather than a publication stream.
-    fn acquire_gate_unqueued(&self) {
-        let mut spins = 0u32;
-        loop {
-            let seq = self.gate.fetch_or(GATE_WAITER, Ordering::Relaxed) | GATE_WAITER;
-            if seq & 1 == 0
-                && self
-                    .gate
-                    .compare_exchange_weak(
-                        seq,
-                        (seq & !GATE_WAITER) + 1,
-                        Ordering::Acquire,
-                        Ordering::Relaxed,
-                    )
-                    .is_ok()
+    /// Pass 3 of registration: record `access` of `node` in the history so
+    /// that future tasks depend on `node` where required.
+    fn record_access(&mut self, access: &Access, node: &Arc<TaskNode>) {
+        let rid = access.region.id;
+        let ids = self.by_alloc.entry(rid.alloc).or_default();
+        ids.retain(|r| *r != rid);
+        ids.push(rid);
+        let entry = self.entries.entry(rid).or_default();
+        if entry.region.is_none() {
+            entry.region = Some(access.region.clone());
+        }
+        match access.kind {
+            AccessKind::Input => entry.readers.push(HistoryRef::Live(node.clone())),
+            AccessKind::Output | AccessKind::InOut => {
+                entry.writers.clear();
+                entry.writers.push(HistoryRef::Live(node.clone()));
+                entry.readers.clear();
+                entry.concurrent.clear();
+            }
+            AccessKind::Concurrent => entry.concurrent.push(HistoryRef::Live(node.clone())),
+        }
+    }
+
+    /// The three registration passes for one node, through the scratch
+    /// buffers so the steady state allocates nothing: collect predecessors
+    /// across every access, add the edges, then record the accesses.
+    fn register_node(&mut self, node: &Arc<TaskNode>, record_edges: bool) -> Registration {
+        let mut preds = std::mem::take(&mut self.scratch_preds);
+        let mut seen = std::mem::take(&mut self.scratch_seen);
+        debug_assert!(preds.is_empty() && seen.is_empty());
+        // Pass 1: predecessors from every overlapping region entry, in
+        // access-declaration order, each with the dependence class of the
+        // (first) conflict that introduced it.
+        for access in node.accesses.iter() {
+            self.collect_preds(access, &mut preds, &mut seen);
+        }
+        // Pass 2: add the edges (only live predecessors can take one).
+        let registration = add_pred_edges(&preds, node, record_edges);
+        node.in_edges.store(registration.edges, Ordering::Relaxed);
+        // Pass 3: update the history on the *exact* region entries.
+        for access in node.accesses.iter() {
+            self.record_access(access, node);
+        }
+        preds.clear();
+        seen.clear();
+        self.scratch_preds = preds;
+        self.scratch_seen = seen;
+        registration
+    }
+
+    /// Bulk-publish one [`FrozenInstall`]: replace the region's history with
+    /// the batch's baked net effect — exactly the state the per-task
+    /// `record_access` interleave of a resolved registration would have left
+    /// (an in-batch overwrite rebuilds the lists from scratch, so the final
+    /// state is a pure function of the batch). `nodes` is the current
+    /// iteration's node slice; the install's positions index into it. In the
+    /// warm steady state this allocates nothing: the entry, its list
+    /// capacities and the `by_alloc` slot all survive from the previous
+    /// pass.
+    fn apply_install(&mut self, inst: &FrozenInstall, nodes: &[Arc<TaskNode>]) {
+        let rid = inst.region.id;
+        let ids = self.by_alloc.entry(rid.alloc).or_default();
+        ids.retain(|r| *r != rid);
+        ids.push(rid);
+        let entry = self.entries.entry(rid).or_default();
+        if entry.region.is_none() {
+            entry.region = Some(inst.region.clone());
+        }
+        entry.writers.clear();
+        entry.readers.clear();
+        entry.concurrent.clear();
+        for &p in &inst.writers {
+            entry.writers.push(HistoryRef::Live(nodes[p].clone()));
+        }
+        for &p in &inst.readers {
+            entry.readers.push(HistoryRef::Live(nodes[p].clone()));
+        }
+        for &p in &inst.concurrent {
+            entry.concurrent.push(HistoryRef::Live(nodes[p].clone()));
+        }
+    }
+
+    /// Replace every live history reference of task `id` under region `rid`
+    /// with a tombstone (the retire path). A reference already cleared by a
+    /// later writer generation is silently gone — that is fine.
+    fn retire_region(&mut self, rid: RegionId, id: TaskId) {
+        if let Some(entry) = self.entries.get_mut(&rid) {
+            for list in entry.lists_mut() {
+                for r in list.iter_mut() {
+                    if r.id() == id && r.live().is_some() {
+                        *r = HistoryRef::Retired(id);
+                    }
+                }
+            }
+        }
+    }
+
+    /// All in-flight tasks currently accessing a region overlapping
+    /// `region` (used by `taskwait on`).
+    fn tasks_touching(&self, region: &Region) -> Vec<Arc<TaskNode>> {
+        let mut out: Vec<Arc<TaskNode>> = Vec::new();
+        let Some(ids) = self.by_alloc.get(&region.id.alloc) else {
+            // No history on the allocation means nothing to wait for.
+            return out;
+        };
+        for rid in ids {
+            let Some(entry) = self.entries.get(rid) else {
+                continue;
+            };
+            if !entry.region.as_ref().is_some_and(|r| r.overlaps(region)) {
+                continue;
+            }
+            for t in entry
+                .writers
+                .iter()
+                .chain(entry.readers.iter())
+                .chain(entry.concurrent.iter())
+                .filter_map(HistoryRef::live)
             {
-                return;
-            }
-            if spins < 64 {
-                std::hint::spin_loop();
-                spins += 1;
-            } else {
-                std::thread::yield_now();
+                if !t.is_completed() && !out.iter().any(|o| o.id == t.id) {
+                    out.push(t.clone());
+                }
             }
         }
+        out
     }
 
-    /// Try to acquire the gate for one non-blocking fast-path publication.
-    /// Succeeds only when the gate is free *and* no mutex-path acquirer is
-    /// waiting; the returned guard releases the gate on drop (so a panic
-    /// mid-publication cannot wedge the shard), and dereferences to the
-    /// shard data.
-    fn try_fast_gate(&self) -> Option<FastGate<'_>> {
-        let seq = self.gate.load(Ordering::Relaxed);
-        if seq & 1 != 0 || seq & GATE_WAITER != 0 {
-            return None;
-        }
-        self.gate
-            .compare_exchange(seq, seq + 1, Ordering::Acquire, Ordering::Relaxed)
-            .ok()?;
-        Some(FastGate { slot: self })
-    }
-}
-
-/// Exclusive access to one shard through the optimistic tier: holds only the
-/// gate (odd), acquired with a single CAS. Dropping releases it.
-struct FastGate<'a> {
-    slot: &'a ShardSlot,
-}
-
-impl std::ops::Deref for FastGate<'_> {
-    type Target = TrackerShard;
-    fn deref(&self) -> &TrackerShard {
-        // SAFETY: the gate is held odd for the guard's lifetime.
-        unsafe { &*self.slot.data.get() }
+    /// Drop history references that no longer pin anything (tombstones and
+    /// completed tasks), then entries left empty, then the `by_alloc` ids of
+    /// dropped entries — so a fully retired allocation leaves **both** maps
+    /// (`tests` pin this; `by_alloc` held stale region ids otherwise).
+    fn garbage_collect(&mut self) {
+        self.entries.retain(|_, e| {
+            e.writers.retain(HistoryRef::is_live_incomplete);
+            e.readers.retain(HistoryRef::is_live_incomplete);
+            e.concurrent.retain(HistoryRef::is_live_incomplete);
+            !(e.writers.is_empty() && e.readers.is_empty() && e.concurrent.is_empty())
+        });
+        let mut live = std::mem::take(&mut self.scratch_gc);
+        debug_assert!(live.is_empty());
+        live.extend(self.entries.keys().copied());
+        self.by_alloc.retain(|_, ids| {
+            ids.retain(|r| live.contains(r));
+            !ids.is_empty()
+        });
+        live.clear();
+        self.scratch_gc = live;
     }
 }
 
-impl std::ops::DerefMut for FastGate<'_> {
-    fn deref_mut(&mut self) -> &mut TrackerShard {
-        // SAFETY: as above; gate exclusivity makes the access unique.
-        unsafe { &mut *self.slot.data.get() }
-    }
-}
-
-impl Drop for FastGate<'_> {
-    fn drop(&mut self) {
-        // Bumps odd → even; a concurrently raised GATE_WAITER bit survives.
-        self.slot.gate.fetch_add(1, Ordering::Release);
-    }
-}
-
-/// Exclusive access to one shard through the blocking (mutex) tier: holds
-/// the queue mutex *and* the gate. Dropping releases the gate (bumping the
-/// sequence back to even) before the queue.
-struct ShardGuard<'a> {
-    slot: &'a ShardSlot,
-    _queue: MutexGuard<'a, ()>,
-}
-
-impl std::ops::Deref for ShardGuard<'_> {
-    type Target = TrackerShard;
-    fn deref(&self) -> &TrackerShard {
-        // SAFETY: the gate is held for the guard's lifetime.
-        unsafe { &*self.slot.data.get() }
-    }
-}
-
-impl std::ops::DerefMut for ShardGuard<'_> {
-    fn deref_mut(&mut self) -> &mut TrackerShard {
-        // SAFETY: as above, and the guard is unique (gate + queue held).
-        unsafe { &mut *self.slot.data.get() }
-    }
-}
-
-impl Drop for ShardGuard<'_> {
-    fn drop(&mut self) {
-        self.slot.gate.fetch_add(1, Ordering::Release);
-    }
-}
-
-/// Exclusive access to a whole *set* of shards for one template-replay
-/// batch, through their gates only — no queue mutexes (a `Vec` of mutex
-/// guards would allocate on the replay hot path). Gates are acquired in
-/// canonical ascending shard order, the same global order `lock_for` uses
-/// for its multi-shard guards, so the batch tier cannot deadlock against
-/// the mutex tier. Dropping releases every gate (odd → even), panics
-/// included.
-struct BatchGuard<'a> {
-    shards: &'a [ShardSlot],
-    sids: &'a [usize],
-}
-
-impl<'a> BatchGuard<'a> {
-    /// Acquire the gates of `sids` (which must be sorted ascending and
-    /// deduplicated) in order.
-    fn acquire(tracker: &'a ShardedTracker, sids: &'a [usize]) -> Self {
-        debug_assert!(
-            sids.windows(2).all(|w| w[0] < w[1]),
-            "batch shard ids must be sorted and deduplicated"
-        );
-        for &sid in sids {
-            tracker.shards[sid].acquire_gate_unqueued();
-        }
-        BatchGuard {
-            shards: &tracker.shards,
-            sids,
-        }
-    }
-
-    /// The shard data of `sid`, which must be one of the held shards.
-    ///
-    /// Takes `&mut self` so the borrow checker serialises access through the
-    /// guard; the underlying exclusivity comes from the held gate.
-    fn shard_mut(&mut self, sid: usize) -> &mut TrackerShard {
-        debug_assert!(self.sids.contains(&sid), "shard {sid} is not held");
-        // SAFETY: the gate of every shard in `sids` is held odd for the
-        // guard's lifetime, making this access exclusive.
-        unsafe { &mut *self.shards[sid].data.get() }
-    }
-}
-
-impl Drop for BatchGuard<'_> {
-    fn drop(&mut self) {
-        for &sid in self.sids {
-            // Odd → even; a concurrently raised GATE_WAITER bit survives.
-            self.shards[sid].gate.fetch_add(1, Ordering::Release);
-        }
-    }
-}
-// lint: hot-path-end
-
-/// The sharded dependence tracker: routes every allocation to one
-/// [`TrackerShard`] and coordinates multi-shard registrations (canonical
-/// lock order), the optimistic single-shard fast path, and the completion
-/// retire path. See the module docs.
-pub(crate) struct ShardedTracker {
-    shards: Box<[ShardSlot]>,
-    counters: TrackerCounters,
-    /// Whether single-shard registrations may take the optimistic gate-CAS
-    /// path. `false` forces every registration through the mutex path (the
-    /// equivalence-suite reference configuration).
-    fast_path: bool,
-    /// Chaos-test hook: when set, individual operations may be forced off
-    /// the fast path ([`FaultClass::TrackerFallback`](crate::failpoint::FaultClass)).
-    /// `None` in production — a single pointer check on the hot path.
-    fault: Option<crate::failpoint::FaultPlan>,
-}
-
-/// The shard locks one registration holds: the allocation-free singleton
-/// case stays on the allocation-free fast path.
-enum LockedShards<'a> {
-    /// Every access maps to this one shard.
-    One(usize, ShardGuard<'a>),
-    /// Canonically ordered shard indices with their guards (parallel
-    /// vectors); also the empty no-access case.
-    Many(Vec<usize>, Vec<ShardGuard<'a>>),
-}
-
-impl LockedShards<'_> {
-    fn shard_mut(&mut self, sid: usize) -> &mut TrackerShard {
-        match self {
-            LockedShards::One(s, guard) => {
-                debug_assert_eq!(*s, sid);
-                guard
-            }
-            LockedShards::Many(ids, guards) => {
-                let pos = ids
-                    .binary_search(&sid)
-                    .expect("every access shard was locked");
-                &mut guards[pos]
-            }
-        }
-    }
-}
-
-impl ShardedTracker {
-    pub(crate) fn new(shards: usize, fast_path: bool) -> Self {
-        assert!(shards >= 1, "the tracker needs at least one shard");
-        ShardedTracker {
-            shards: (0..shards).map(|_| ShardSlot::new()).collect(),
-            counters: TrackerCounters::new(shards),
-            fast_path,
-            fault: None,
-        }
-    }
-
-    /// Install a fault-injection plan (chaos tests only; see
-    /// [`crate::failpoint`]). Called before the tracker is shared.
-    pub(crate) fn set_fault_plan(&mut self, plan: crate::failpoint::FaultPlan) {
-        self.fault = Some(plan);
-    }
-
-    /// Whether the installed fault plan (if any) forces this operation off
-    /// the optimistic fast path.
-    fn forced_fallback(&self) -> bool {
-        self.fault
-            .as_ref()
-            .is_some_and(|p| p.roll_next(crate::failpoint::FaultClass::TrackerFallback))
-    }
-
-    /// Number of shards.
-    pub(crate) fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard an allocation is routed to. Allocation ids are handed out
-    /// sequentially (and renaming mints a fresh one per version), so plain
-    /// modulo spreads concurrent workloads evenly.
-    pub(crate) fn shard_of(&self, alloc: AllocId) -> usize {
-        (alloc.raw() % self.shards.len() as u64) as usize
-    }
-
-    /// Per-shard hit / contention counters.
-    pub(crate) fn counters(&self) -> &TrackerCounters {
-        &self.counters
-    }
-
-    /// Lock one shard through the blocking tier, try-lock-first so contended
-    /// acquisitions are counted, then acquire the gate (waiting out at most
-    /// one fast-path publication).
-    fn lock_shard(&self, shard: usize) -> ShardGuard<'_> {
-        self.counters.hit(shard);
-        self.lock_shard_uncounted(shard)
-    }
-
-    /// As [`ShardedTracker::lock_shard`] but without touching the hit
-    /// counter (GC sweeps and diagnostics reads would drown the signal).
-    fn lock_shard_uncounted(&self, shard: usize) -> ShardGuard<'_> {
-        let slot = &self.shards[shard];
-        let queue = match slot.queue.try_lock() {
+impl Tracker {
+    /// Take the lock, trying first so that an acquisition which has to block
+    /// is counted as contended.
+    fn lock(&self) -> MutexGuard<'_, TrackerState> {
+        match self.state.try_lock() {
             Some(guard) => guard,
             None => {
-                self.counters.contended();
-                slot.queue.lock()
+                self.contention.fetch_add(1, Ordering::Relaxed);
+                self.state.lock()
             }
-        };
-        slot.acquire_gate();
-        ShardGuard {
-            slot,
-            _queue: queue,
         }
     }
 
-    /// Try to register `node` through the optimistic fast path: all accesses
-    /// on one shard, whose gate is free right now. Returns `None` (and
-    /// mutates nothing) when the registration must take the mutex path.
-    fn try_register_fast(&self, node: &Arc<TaskNode>, record_edges: bool) -> Option<Registration> {
-        let mut shards = node.accesses.iter().map(|a| self.shard_of(a.region.id.alloc));
-        let sid = shards.next()?;
-        if !shards.all(|s| s == sid) {
-            return None; // multi-allocation span: canonical-order mutex path
-        }
-        // Gate held (or a mutator/GC/waiter present → fallback); the guard
-        // grants exclusive access and releases on drop, panics included.
-        let mut gate = self.shards[sid].try_fast_gate()?;
-        self.counters.hit(sid);
-        Some(register_single_shard(&mut gate, sid, node, record_edges, true))
-    }
-
-    /// Lock every shard the accesses touch, in canonical (ascending index)
-    /// order. The dominant case — every access on one allocation, or several
-    /// allocations that happen to share a shard — takes exactly one lock and
-    /// allocates nothing.
-    fn lock_for(&self, accesses: &[Access]) -> LockedShards<'_> {
-        let mut shards = accesses.iter().map(|a| self.shard_of(a.region.id.alloc));
-        let Some(first) = shards.next() else {
-            return LockedShards::Many(Vec::new(), Vec::new());
-        };
-        if shards.all(|s| s == first) {
-            return LockedShards::One(first, self.lock_shard(first));
-        }
-        let mut ids: Vec<usize> = accesses
-            .iter()
-            .map(|a| self.shard_of(a.region.id.alloc))
-            .collect();
-        ids.sort_unstable();
-        ids.dedup();
-        let guards = ids.iter().map(|&s| self.lock_shard(s)).collect();
-        LockedShards::Many(ids, guards)
+    /// Acquisitions that found the lock held by another thread.
+    pub(crate) fn contention(&self) -> u64 {
+        self.contention.load(Ordering::Relaxed)
     }
 
     /// Register the declared accesses of `node`, adding dependence edges from
     /// every conflicting in-flight task, and updating the per-region history
-    /// so that future tasks depend on `node` where required.
-    ///
-    /// Every shard touched by the accesses is locked in canonical (ascending
-    /// index) order and held for the whole registration, making it atomic
-    /// with respect to concurrent registrations and retirements on
-    /// overlapping allocations. `record_edges` asks for [`EdgeRecord`]s (only
-    /// the tracing path wants them).
+    /// so that future tasks depend on `node` where required. One lock
+    /// acquisition covers all three passes, which makes the registration
+    /// atomic with respect to concurrent registrations and retirements.
+    /// `record_edges` asks for the edge predecessors (only the tracing path
+    /// wants them).
     pub(crate) fn register(&self, node: &Arc<TaskNode>, record_edges: bool) -> Registration {
         if node.accesses.is_empty() {
             node.in_edges.store(0, Ordering::Relaxed);
-            return Registration {
-                edges: 0,
-                raw_edges: 0,
-                war_edges: 0,
-                waw_edges: 0,
-                predecessors_seen: 0,
-                edge_list: Vec::new(),
-                fast_path: false,
-            };
+            return Registration::default();
         }
-        if self.fast_path {
-            if self.forced_fallback() {
-                self.counters.fast_fallback();
-            } else {
-                match self.try_register_fast(node, record_edges) {
-                    Some(registration) => {
-                        self.counters.fast_hit();
-                        return registration;
-                    }
-                    None => self.counters.fast_fallback(),
-                }
-            }
-        }
-        let mut locked = self.lock_for(&node.accesses);
-        // Single shard behind the mutex: exactly the three fast-path passes,
-        // via the same per-shard scratch buffers — the mutex tier is
-        // allocation-free in steady state too.
-        if let LockedShards::One(sid, ref mut guard) = locked {
-            return register_single_shard(guard, sid, node, record_edges, false);
-        }
-        // Multi-shard span: run the passes across the canonically locked
-        // shards, borrowing the first access's shard scratch buffers (every
-        // involved gate is held, so the scratch is exclusively ours).
-        let first = self.shard_of(node.accesses[0].region.id.alloc);
-        let (mut preds, mut seen_pred_ids) = {
-            let shard = locked.shard_mut(first);
-            (
-                std::mem::take(&mut shard.scratch_preds),
-                std::mem::take(&mut shard.scratch_seen),
-            )
-        };
-        debug_assert!(preds.is_empty() && seen_pred_ids.is_empty());
-
-        // Pass 1: collect predecessors from every overlapping region entry,
-        // in access-declaration order. Each predecessor is remembered with
-        // the dependence class of the (first) conflict that introduced it,
-        // so added edges can be attributed to RAW / WAR / WAW.
-        for access in node.accesses.iter() {
-            let sid = self.shard_of(access.region.id.alloc);
-            locked
-                .shard_mut(sid)
-                .collect_preds(access, sid, &mut preds, &mut seen_pred_ids);
-        }
-
-        // Pass 2: add the edges (only live predecessors can take one).
-        let (edges, raw_edges, war_edges, waw_edges, edge_list) =
-            add_pred_edges(&preds, node, record_edges);
-        node.in_edges.store(edges, Ordering::Relaxed);
-
-        // Pass 3: update the history on the *exact* region entries.
-        for access in node.accesses.iter() {
-            let sid = self.shard_of(access.region.id.alloc);
-            locked.shard_mut(sid).record_access(access, node);
-        }
-
-        let predecessors_seen = preds.len();
-        preds.clear();
-        seen_pred_ids.clear();
-        let shard = locked.shard_mut(first);
-        shard.scratch_preds = preds;
-        shard.scratch_seen = seen_pred_ids;
-
-        Registration {
-            edges,
-            raw_edges,
-            war_edges,
-            waw_edges,
-            predecessors_seen,
-            edge_list,
-            fast_path: false,
-        }
+        self.lock().register_node(node, record_edges)
     }
 
-    /// Register a whole template-replay batch under **one** multi-gate
-    /// acquisition: every shard in `sids` (the sorted, deduplicated union of
-    /// the shards the batch's accesses touch — computed by the caller so the
-    /// buffer can be reused across replays) is gated once, then the three
-    /// registration passes run per node in batch order. Because pass 3
-    /// (history update) of node *i* runs before pass 1 (predecessor
-    /// collection) of node *i+1*, intra-batch dependences fall out of the
-    /// ordinary history scan — the edges are re-derived, not copied from the
-    /// template, so they stay correct when per-replay renaming resolves
-    /// clauses to different versions than the captured iteration did.
-    ///
-    /// The scratch buffers of the first involved shard are borrowed for the
-    /// whole batch (its gate is held, so they are exclusively ours), keeping
-    /// a warm replay allocation-free. Equivalence with per-task
-    /// registration: the batch is one legal linearization of the same
-    /// per-node pass sequence, and gate exclusion makes it atomic against
-    /// concurrent registrations and retirements on the involved shards.
+    /// Register a whole template-replay batch under **one** lock
+    /// acquisition: the three registration passes run per node in batch
+    /// order. Because pass 3 (history update) of node *i* runs before pass 1
+    /// (predecessor collection) of node *i+1*, intra-batch dependences fall
+    /// out of the ordinary history scan — the edges are re-derived, not
+    /// copied from the template, so they stay correct when per-replay
+    /// renaming resolves clauses to different versions than the captured
+    /// iteration did. The batch is one legal linearization of the same
+    /// per-node pass sequence, made atomic by the lock.
     pub(crate) fn register_batch(
         &self,
         nodes: &[Arc<TaskNode>],
-        sids: &[usize],
         record_edges: bool,
     ) -> BatchRegistration {
-        let mut batch = BatchRegistration {
-            edges: 0,
-            raw_edges: 0,
-            war_edges: 0,
-            waw_edges: 0,
-            predecessors_seen: 0,
-            per_task: Vec::new(),
-        };
-        if sids.is_empty() {
-            // Access-free batch: nothing to track, nothing to gate.
-            for node in nodes {
-                node.in_edges.store(0, Ordering::Relaxed);
-            }
-            return batch;
-        }
-        let mut guard = BatchGuard::acquire(self, sids);
-        for &sid in sids {
-            self.counters.hit(sid);
-        }
-        let first = sids[0];
-        let (mut preds, mut seen) = {
-            let shard = guard.shard_mut(first);
-            (
-                std::mem::take(&mut shard.scratch_preds),
-                std::mem::take(&mut shard.scratch_seen),
-            )
-        };
-        debug_assert!(preds.is_empty() && seen.is_empty());
+        let mut batch = BatchRegistration::default();
+        let mut state = self.lock();
         for (i, node) in nodes.iter().enumerate() {
-            preds.clear();
-            seen.clear();
-            for access in node.accesses.iter() {
-                let sid = self.shard_of(access.region.id.alloc);
-                guard
-                    .shard_mut(sid)
-                    .collect_preds(access, sid, &mut preds, &mut seen);
-            }
-            let (edges, raw_edges, war_edges, waw_edges, edge_list) =
-                add_pred_edges(&preds, node, record_edges);
-            node.in_edges.store(edges, Ordering::Relaxed);
-            for access in node.accesses.iter() {
-                let sid = self.shard_of(access.region.id.alloc);
-                guard.shard_mut(sid).record_access(access, node);
-            }
-            batch.edges += edges;
-            batch.raw_edges += raw_edges;
-            batch.war_edges += war_edges;
-            batch.waw_edges += waw_edges;
-            batch.predecessors_seen += preds.len();
-            if record_edges {
-                batch.per_task.push((i, edge_list));
-            }
+            let reg = state.register_node(node, record_edges);
+            batch.add(i, reg, record_edges);
         }
-        preds.clear();
-        seen.clear();
-        let shard = guard.shard_mut(first);
-        shard.scratch_preds = preds;
-        shard.scratch_seen = seen;
         batch
     }
 
     /// Register `iterations` consecutive copies of a [`FrozenPlan`] batch
     /// whose interior edges were already wired by [`prewire_batch`]: under
-    /// one multi-gate acquisition, **validate** the plan against live state,
-    /// then stamp each iteration in two steps. The *live prefix* — batch
+    /// one lock acquisition, **validate** the plan against live state, then
+    /// stamp each iteration in two steps. The *live prefix* — batch
     /// positions up to the last frontier task — runs the ordinary
     /// scan/record interleave (frontier tasks scan live history; every
     /// prefix task records its accesses, since a later frontier scan may
@@ -1400,7 +853,7 @@ impl ShardedTracker {
     /// elsewhere since the freeze — would be visible to a live overlap scan
     /// but not to the baked edges, so the batch returns `None` (having
     /// touched nothing) and the caller unwires and falls back to
-    /// [`ShardedTracker::register_batch`].
+    /// [`Tracker::register_batch`].
     pub(crate) fn register_batch_prewired(
         &self,
         nodes: &[Arc<TaskNode>],
@@ -1418,32 +871,14 @@ impl ShardedTracker {
             predecessors_seen: plan.baked_preds * iterations,
             per_task: Vec::new(),
         };
-        if plan.sids.is_empty() {
-            // Access-free batch: nothing to validate, nothing to gate; the
-            // pre-wiring already stored every (zero) in-edge count.
-            return Some(batch);
-        }
-        let mut guard = BatchGuard::acquire(self, &plan.sids);
+        let mut state = self.lock();
         for (alloc, rids) in &plan.allocs {
-            let sid = self.shard_of(*alloc);
-            if let Some(ids) = guard.shard_mut(sid).by_alloc.get(alloc) {
+            if let Some(ids) = state.by_alloc.get(alloc) {
                 if ids.iter().any(|r| !rids.contains(r)) {
                     return None;
                 }
             }
         }
-        for &sid in &plan.sids {
-            self.counters.hit(sid);
-        }
-        let first = plan.sids[0];
-        let (mut preds, mut seen) = {
-            let shard = guard.shard_mut(first);
-            (
-                std::mem::take(&mut shard.scratch_preds),
-                std::mem::take(&mut shard.scratch_seen),
-            )
-        };
-        debug_assert!(preds.is_empty() && seen.is_empty());
         for m in 0..iterations {
             let base = m * per;
             // Live prefix: up to (and including) the last frontier task,
@@ -1452,29 +887,12 @@ impl ShardedTracker {
             for t in 0..plan.scan_upto {
                 let node = &nodes[base + t];
                 if plan.frontier[t] {
-                    preds.clear();
-                    seen.clear();
+                    let reg = state.register_node(node, record_edges);
+                    batch.add(base + t, reg, record_edges);
+                } else {
                     for access in node.accesses.iter() {
-                        let sid = self.shard_of(access.region.id.alloc);
-                        guard
-                            .shard_mut(sid)
-                            .collect_preds(access, sid, &mut preds, &mut seen);
+                        state.record_access(access, node);
                     }
-                    let (edges, raw_edges, war_edges, waw_edges, edge_list) =
-                        add_pred_edges(&preds, node, record_edges);
-                    node.in_edges.store(edges, Ordering::Relaxed);
-                    batch.edges += edges;
-                    batch.raw_edges += raw_edges;
-                    batch.war_edges += war_edges;
-                    batch.waw_edges += waw_edges;
-                    batch.predecessors_seen += preds.len();
-                    if record_edges {
-                        batch.per_task.push((base + t, edge_list));
-                    }
-                }
-                for access in node.accesses.iter() {
-                    let sid = self.shard_of(access.region.id.alloc);
-                    guard.shard_mut(sid).record_access(access, node);
                 }
             }
             // Interior tail: no per-task history work at all — the baked
@@ -1482,194 +900,87 @@ impl ShardedTracker {
             // next iteration's frontier (and post-batch registrations) see
             // exactly the state a full per-task interleave would have left.
             for inst in &plan.installs {
-                guard
-                    .shard_mut(inst.shard)
-                    .apply_install(inst, &nodes[base..base + per]);
+                state.apply_install(inst, &nodes[base..base + per]);
             }
         }
-        preds.clear();
-        seen.clear();
-        let shard = guard.shard_mut(first);
-        shard.scratch_preds = preds;
-        shard.scratch_seen = seen;
         Some(batch)
     }
 
-    // lint: hot-path-begin — completion tier: retire + successor wakeup run
-    // once per task; no panicking calls allowed (see `cargo xtask lint`).
     /// Retire a completed task from the history: every live reference it
-    /// still holds in any shard is replaced by a tombstone, releasing the
-    /// node. Locks one shard at a time (retirement needs no cross-shard
-    /// atomicity), and is idempotent per task.
+    /// still holds is replaced by a tombstone, releasing the node. One lock
+    /// acquisition, a walk over the task's accesses, no allocation.
+    /// Idempotent per task.
     pub(crate) fn retire(&self, node: &Arc<TaskNode>) {
         if node.accesses.is_empty() || !node.mark_retired() {
             return;
         }
-        // Fast path for the dominant single-access task: one shard, no sort,
-        // no allocation — and, when the gate is free, no mutex either (the
-        // same single-CAS protocol as the registration fast path).
-        if let [access] = &*node.accesses {
-            let rid = access.region.id;
-            let sid = self.shard_of(rid.alloc);
-            if self.fast_path && !self.forced_fallback() {
-                if let Some(mut gate) = self.shards[sid].try_fast_gate() {
-                    self.counters.hit(sid);
-                    gate.retire_region(rid, node.id);
-                    return;
-                }
-            }
-            self.lock_shard(sid).retire_region(rid, node.id);
-            return;
-        }
-        let mut rids: Vec<RegionId> = node.accesses.iter().map(|a| a.region.id).collect();
-        rids.sort_unstable_by_key(|r| (self.shard_of(r.alloc), *r));
-        rids.dedup();
-        let mut i = 0;
-        while i < rids.len() {
-            let sid = self.shard_of(rids[i].alloc);
-            let mut guard = self.lock_shard(sid);
-            while i < rids.len() && self.shard_of(rids[i].alloc) == sid {
-                guard.retire_region(rids[i], node.id);
-                i += 1;
-            }
+        let mut state = self.lock();
+        for access in node.accesses.iter() {
+            state.retire_region(access.region.id, node.id);
         }
     }
 
     /// All in-flight tasks that currently access a region overlapping
-    /// `region` (used by `taskwait on`). A region lives in exactly one shard.
+    /// `region` (used by `taskwait on`).
     pub(crate) fn tasks_touching(&self, region: &Region) -> Vec<Arc<TaskNode>> {
-        let sid = self.shard_of(region.id.alloc);
-        self.lock_shard(sid).tasks_touching(region)
+        self.lock().tasks_touching(region)
     }
 
-    /// Garbage-collect every shard (one lock at a time): drop tombstones,
-    /// completed tasks, emptied entries and their `by_alloc` ids. Called
-    /// periodically from the spawn path (cadence:
+    /// Garbage-collect the history: drop tombstones, completed tasks,
+    /// emptied entries and their `by_alloc` ids. Called periodically from
+    /// the spawn path (cadence:
     /// [`RuntimeConfig::with_tracker_gc_interval`](crate::RuntimeConfig::with_tracker_gc_interval))
     /// and from quiescent `taskwait`s to bound memory on long-running
-    /// programs. Bypasses the hit/contention counters: those attribute lock
-    /// traffic to the registration, retire and `taskwait on` paths only, and
-    /// a sweep touching every shard would drown the signal (uniform hits,
-    /// phantom contention). Taking each shard's lock holds its gate odd, so
-    /// optimistic registrations on a shard being swept fall back to the
-    /// mutex path and queue behind the sweep.
+    /// programs. Bypasses the contention counter, which attributes lock
+    /// traffic to the registration, retire and `taskwait on` paths only.
     pub(crate) fn garbage_collect(&self) {
-        for sid in 0..self.shards.len() {
-            self.lock_shard_uncounted(sid).garbage_collect();
-        }
+        self.state.lock().garbage_collect();
     }
 
-    /// Index of the first shard whose sequence gate currently reads odd
-    /// (held by some mutator), or `None` when every gate is quiescent. At
-    /// runtime quiescence no registration or retirement can be
-    /// mid-publication, so a held gate is an invariant violation (see
-    /// [`crate::Runtime::audit`]). The waiter flag is advisory and masked
-    /// out; only the low sequence bit decides held vs quiescent.
-    pub(crate) fn first_held_gate(&self) -> Option<usize> {
-        self.shards
-            .iter()
-            .position(|slot| slot.gate.load(Ordering::Acquire) & 1 == 1)
+    /// Whether some thread holds the lock right now. At runtime quiescence
+    /// no registration or retirement can be in progress, so a held lock is
+    /// an invariant violation (see [`crate::Runtime::audit`]).
+    pub(crate) fn is_locked(&self) -> bool {
+        self.state.try_lock().is_none()
     }
 
-    /// Current per-shard map sizes plus the fast-path hit/fallback counters.
-    /// Reading diagnostics leaves the hit/contention counters untouched (see
-    /// [`ShardedTracker::garbage_collect`]).
+    /// Current history map sizes. Bypasses the contention counter (see
+    /// [`Tracker::garbage_collect`]).
     pub(crate) fn diagnostics(&self) -> TrackerDiagnostics {
-        let mut regions = Vec::with_capacity(self.shards.len());
-        let mut allocs = Vec::with_capacity(self.shards.len());
-        for sid in 0..self.shards.len() {
-            let guard = self.lock_shard_uncounted(sid);
-            regions.push(guard.entries.len());
-            allocs.push(guard.by_alloc.len());
-        }
+        let state = self.state.lock();
         TrackerDiagnostics {
-            regions_per_shard: regions,
-            allocs_per_shard: allocs,
-            fast_path_hits: self.counters.fast_hits(),
-            fast_path_fallbacks: self.counters.fast_fallbacks(),
+            regions: state.entries.len(),
+            allocs: state.by_alloc.len(),
         }
-    }
-
-    /// Number of regions currently tracked across all shards (diagnostics;
-    /// exercised by unit tests).
-    #[allow(dead_code)]
-    pub(crate) fn tracked_regions(&self) -> usize {
-        self.diagnostics().total_regions()
     }
 }
 
-/// Pass 2 of registration, shared verbatim by the mutex path and the
-/// optimistic fast path (so both produce byte-identical edge sets): add an
-/// edge from every live predecessor, classifying it RAW / WAR / WAW.
-fn add_pred_edges(
-    preds: &[PredRef],
-    node: &Arc<TaskNode>,
-    record_edges: bool,
-) -> (usize, usize, usize, usize, Vec<EdgeRecord>) {
-    let mut edges = 0usize;
-    let (mut raw_edges, mut war_edges, mut waw_edges) = (0usize, 0usize, 0usize);
-    let mut edge_list = Vec::new();
+/// Pass 2 of registration: add an edge from every live predecessor,
+/// classifying it RAW / WAR / WAW.
+fn add_pred_edges(preds: &[PredRef], node: &Arc<TaskNode>, record_edges: bool) -> Registration {
+    let mut reg = Registration {
+        predecessors_seen: preds.len(),
+        ..Registration::default()
+    };
     for pred in preds {
         if pred.id == node.id {
             continue;
         }
         let Some(live) = &pred.live else { continue };
         if add_edge(live, node) {
-            edges += 1;
+            reg.edges += 1;
             match pred.dependence {
-                Dependence::ReadAfterWrite => raw_edges += 1,
-                Dependence::WriteAfterRead => war_edges += 1,
-                Dependence::WriteAfterWrite => waw_edges += 1,
+                Dependence::ReadAfterWrite => reg.raw_edges += 1,
+                Dependence::WriteAfterRead => reg.war_edges += 1,
+                Dependence::WriteAfterWrite => reg.waw_edges += 1,
                 Dependence::None => {}
             }
             if record_edges {
-                edge_list.push(EdgeRecord {
-                    pred: pred.id,
-                    shard: pred.shard,
-                });
+                reg.edge_list.push(pred.id);
             }
         }
     }
-    (edges, raw_edges, war_edges, waw_edges, edge_list)
-}
-
-/// The three registration passes against a single shard, using the shard's
-/// scratch buffers so the steady state allocates nothing. Shared by the
-/// optimistic fast path and the single-shard mutex path (`fast` records
-/// which tier obtained exclusion — the passes are byte-identical).
-fn register_single_shard(
-    shard: &mut TrackerShard,
-    sid: usize,
-    node: &Arc<TaskNode>,
-    record_edges: bool,
-    fast: bool,
-) -> Registration {
-    let mut preds = std::mem::take(&mut shard.scratch_preds);
-    let mut seen = std::mem::take(&mut shard.scratch_seen);
-    debug_assert!(preds.is_empty() && seen.is_empty());
-    for access in node.accesses.iter() {
-        shard.collect_preds(access, sid, &mut preds, &mut seen);
-    }
-    let (edges, raw_edges, war_edges, waw_edges, edge_list) =
-        add_pred_edges(&preds, node, record_edges);
-    node.in_edges.store(edges, Ordering::Relaxed);
-    for access in node.accesses.iter() {
-        shard.record_access(access, node);
-    }
-    let predecessors_seen = preds.len();
-    preds.clear();
-    seen.clear();
-    shard.scratch_preds = preds;
-    shard.scratch_seen = seen;
-    Registration {
-        edges,
-        raw_edges,
-        war_edges,
-        waw_edges,
-        predecessors_seen,
-        edge_list,
-        fast_path: fast,
-    }
+    reg
 }
 
 fn push_pred(
@@ -1677,7 +988,6 @@ fn push_pred(
     seen: &mut Vec<TaskId>,
     t: &HistoryRef,
     dependence: Dependence,
-    shard: usize,
 ) {
     let id = t.id();
     if !seen.contains(&id) {
@@ -1686,7 +996,6 @@ fn push_pred(
             id,
             live: t.live().cloned(),
             dependence,
-            shard,
         });
     }
 }
@@ -1750,16 +1059,6 @@ pub(crate) fn complete_into(
     }
 }
 
-/// Mark `node` completed and notify its successors. Returns the successors
-/// that became ready as a result. Allocating convenience wrapper around
-/// [`complete_into`] for tests and benches; the worker hot path passes its
-/// own reusable buffer.
-pub(crate) fn complete(node: &Arc<TaskNode>) -> Vec<Arc<TaskNode>> {
-    let mut ready = Vec::new();
-    complete_into(node, &mut ready, None);
-    ready
-}
-
 /// The poisoning counterpart of [`complete_into`]: mark `node` completed,
 /// poison every still-linked successor with `origin`, and release them
 /// exactly as a normal completion would. Poisoning under the predecessor's
@@ -1800,74 +1099,6 @@ pub(crate) fn complete_into_poison(
 }
 // lint: hot-path-end
 
-/// Benchmark support: drives the tracker's register→complete→retire cycle
-/// directly, without workers or scheduling, so the insertion-side cost being
-/// compared (optimistic fast path vs forced-locked mutex path) dominates the
-/// measurement. Used by `insertion_bench` and the `rename_ablation`
-/// fast-path scenario; not part of the public API surface.
-#[doc(hidden)]
-pub mod bench {
-    use super::{complete, finish_registration, ShardedTracker};
-    use crate::access::{Access, AccessKind, AccessVec};
-    use crate::region::{AllocId, Region};
-    use crate::task::{ChildTracker, TaskNode, TaskPriority};
-    use std::sync::Arc;
-
-    /// Register, complete and retire `per_spawner` single-`output`-access
-    /// tasks per spawner thread (each thread cycling through `cells` private
-    /// allocations) against a fresh tracker. Returns operations per second
-    /// over the whole storm. This is the tracker's full insertion round
-    /// trip: predecessor discovery, history update, readiness release,
-    /// completion and retirement.
-    pub fn register_retire_rate(
-        shards: usize,
-        fast_path: bool,
-        spawners: usize,
-        per_spawner: usize,
-        cells: usize,
-    ) -> f64 {
-        let tracker = ShardedTracker::new(shards, fast_path);
-        // Node construction (a handful of allocations per task) is hoisted
-        // out of the timed region: it is identical for both configurations
-        // and would otherwise dilute the path being compared.
-        let batches: Vec<Vec<Arc<TaskNode>>> = (0..spawners)
-            .map(|_| {
-                let allocs: Vec<AllocId> = (0..cells).map(|_| AllocId::fresh()).collect();
-                let parent = ChildTracker::new();
-                (0..per_spawner)
-                    .map(|i| {
-                        let region = Region::new(allocs[i % cells], 0, 0..64);
-                        TaskNode::new(
-                            None,
-                            TaskPriority::default(),
-                            AccessVec::one(Access::new(region, AccessKind::Output)),
-                            |_| {},
-                            parent.clone(),
-                            crate::task::INLINE_BODY_BYTES,
-                            &mut false,
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
-        let start = std::time::Instant::now();
-        std::thread::scope(|scope| {
-            for batch in &batches {
-                let tracker = &tracker;
-                scope.spawn(move || {
-                    for node in batch {
-                        tracker.register(node, false);
-                        finish_registration(node);
-                        complete(node);
-                        tracker.retire(node);
-                    }
-                });
-            }
-        });
-        (spawners * per_spawner) as f64 / start.elapsed().as_secs_f64()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1877,7 +1108,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn node_with(accesses: Vec<Access>) -> Arc<TaskNode> {
-        TaskNode::new(
+        Arc::new(TaskNode::build(
             None,
             TaskPriority::default(),
             accesses.into_iter().collect(),
@@ -1885,7 +1116,7 @@ mod tests {
             ChildTracker::new(),
             crate::task::INLINE_BODY_BYTES,
             &mut false,
-        )
+        ))
     }
 
     fn region(alloc: u64, chunk: u32, range: std::ops::Range<usize>) -> Region {
@@ -1896,22 +1127,20 @@ mod tests {
         Access::new(region(alloc, chunk, range), kind)
     }
 
-    fn tracker(shards: usize) -> ShardedTracker {
-        ShardedTracker::new(shards, true)
-    }
-
-    fn tracker_locked(shards: usize) -> ShardedTracker {
-        ShardedTracker::new(shards, false)
+    fn tracker() -> Tracker {
+        Tracker::default()
     }
 
     /// Drain a node as if it executed (without a runtime).
     fn finish(node: &Arc<TaskNode>) -> Vec<Arc<TaskNode>> {
-        complete(node)
+        let mut ready = Vec::new();
+        complete_into(node, &mut ready, None);
+        ready
     }
 
     #[test]
     fn raw_dependence_creates_edge() {
-        let tr = tracker(4);
+        let tr = tracker();
         let producer = node_with(vec![acc(1, 0, 0..100, AccessKind::Output)]);
         let consumer = node_with(vec![acc(1, 0, 0..100, AccessKind::Input)]);
 
@@ -1932,7 +1161,7 @@ mod tests {
 
     #[test]
     fn war_and_waw_serialise_without_renaming() {
-        let tr = tracker(2);
+        let tr = tracker();
         let reader = node_with(vec![acc(1, 0, 0..10, AccessKind::Input)]);
         let writer1 = node_with(vec![acc(1, 0, 0..10, AccessKind::Output)]);
         let writer2 = node_with(vec![acc(1, 0, 0..10, AccessKind::Output)]);
@@ -1954,7 +1183,7 @@ mod tests {
 
     #[test]
     fn independent_regions_do_not_serialise() {
-        let tr = tracker(3);
+        let tr = tracker();
         let a = node_with(vec![acc(1, 0, 0..10, AccessKind::Output)]);
         let b = node_with(vec![acc(1, 1, 10..20, AccessKind::Output)]);
         let c = node_with(vec![acc(2, 0, 0..10, AccessKind::Output)]);
@@ -1968,7 +1197,7 @@ mod tests {
 
     #[test]
     fn readers_do_not_serialise_with_each_other() {
-        let tr = tracker(1);
+        let tr = tracker();
         let w = node_with(vec![acc(1, 0, 0..10, AccessKind::Output)]);
         let r1 = node_with(vec![acc(1, 0, 0..10, AccessKind::Input)]);
         let r2 = node_with(vec![acc(1, 0, 0..10, AccessKind::Input)]);
@@ -1986,7 +1215,7 @@ mod tests {
 
     #[test]
     fn concurrent_accesses_commute_but_order_against_writers() {
-        let tr = tracker(2);
+        let tr = tracker();
         let w = node_with(vec![acc(1, 0, 0..10, AccessKind::Output)]);
         let c1 = node_with(vec![acc(1, 0, 0..10, AccessKind::Concurrent)]);
         let c2 = node_with(vec![acc(1, 0, 0..10, AccessKind::Concurrent)]);
@@ -2007,7 +1236,7 @@ mod tests {
 
     #[test]
     fn overlapping_chunk_and_whole_regions_serialise() {
-        let tr = tracker(4);
+        let tr = tracker();
         // Whole-array write, then chunk write, then whole read.
         let whole_w = node_with(vec![acc(1, 0, 0..100, AccessKind::Output)]);
         let chunk_w = node_with(vec![acc(1, 3, 20..30, AccessKind::Output)]);
@@ -2027,7 +1256,7 @@ mod tests {
 
     #[test]
     fn disjoint_chunk_writes_to_same_alloc_run_in_parallel() {
-        let tr = tracker(4);
+        let tr = tracker();
         let chunks: Vec<_> = (0..8u32)
             .map(|i| {
                 node_with(vec![acc(
@@ -2046,7 +1275,7 @@ mod tests {
 
     #[test]
     fn completed_predecessors_do_not_create_edges() {
-        let tr = tracker(2);
+        let tr = tracker();
         let w = node_with(vec![acc(1, 0, 0..10, AccessKind::Output)]);
         tr.register(&w, false);
         finish_registration(&w);
@@ -2060,7 +1289,7 @@ mod tests {
 
     #[test]
     fn retired_predecessors_are_still_seen_until_gc() {
-        let tr = tracker(2);
+        let tr = tracker();
         let w = node_with(vec![acc(1, 0, 0..10, AccessKind::Output)]);
         tr.register(&w, false);
         finish_registration(&w);
@@ -2087,7 +1316,7 @@ mod tests {
 
     #[test]
     fn retire_is_idempotent_and_skips_access_free_tasks() {
-        let tr = tracker(2);
+        let tr = tracker();
         let free = node_with(vec![]);
         finish_registration(&free);
         finish(&free);
@@ -2109,8 +1338,8 @@ mod tests {
         // allocation has retired and a GC ran, the allocation must be gone
         // from `entries` *and* from the `by_alloc` overlap index — a stale
         // `by_alloc` region id is a leak that also slows every future
-        // overlap scan on that shard.
-        let tr = tracker(3);
+        // overlap scan on that allocation.
+        let tr = tracker();
         let nodes: Vec<_> = (0..6u64)
             .map(|a| {
                 let w = node_with(vec![acc(100 + a, 0, 0..10, AccessKind::Output)]);
@@ -2122,7 +1351,6 @@ mod tests {
         let diag = tr.diagnostics();
         assert_eq!(diag.total_regions(), 6);
         assert_eq!(diag.total_allocs(), 6);
-        assert_eq!(diag.shards(), 3);
         for n in &nodes {
             finish(n);
             tr.retire(n);
@@ -2130,7 +1358,7 @@ mod tests {
         // Tombstones keep the maps populated (deterministic counting) …
         assert_eq!(tr.diagnostics().total_regions(), 6);
         tr.garbage_collect();
-        // … and GC must empty both maps in every shard.
+        // … and GC must empty both maps.
         let diag = tr.diagnostics();
         assert_eq!(diag.total_regions(), 0, "entries leak after full retire");
         assert_eq!(
@@ -2142,7 +1370,7 @@ mod tests {
 
     #[test]
     fn writer_clear_plus_gc_cleans_by_alloc_of_superseded_history() {
-        let tr = tracker(2);
+        let tr = tracker();
         let w1 = node_with(vec![acc(7, 0, 0..10, AccessKind::Output)]);
         tr.register(&w1, false);
         finish_registration(&w1);
@@ -2160,125 +1388,10 @@ mod tests {
     }
 
     #[test]
-    fn registration_outcome_is_shard_count_invariant() {
-        // The same program must produce identical registrations (edge count,
-        // classification, predecessors seen, and edge order) whatever the
-        // shard count — regions of one allocation live in exactly one shard.
-        let program: Vec<Vec<Access>> = vec![
-            vec![acc(11, 0, 0..64, AccessKind::Output)],
-            vec![
-                acc(11, 0, 0..64, AccessKind::Input),
-                acc(12, 0, 0..64, AccessKind::Output),
-            ],
-            vec![acc(12, 0, 0..64, AccessKind::InOut), acc(13, 0, 0..8, AccessKind::Output)],
-            vec![acc(11, 0, 0..64, AccessKind::Output)],
-            vec![
-                acc(13, 0, 0..8, AccessKind::Concurrent),
-                acc(11, 0, 0..64, AccessKind::Input),
-            ],
-        ];
-        let outcome = |tr: ShardedTracker| {
-            let mut out = Vec::new();
-            let mut nodes = Vec::new();
-            for accesses in &program {
-                let n = node_with(accesses.clone());
-                let reg = tr.register(&n, true);
-                out.push((
-                    reg.edges,
-                    reg.raw_edges,
-                    reg.war_edges,
-                    reg.waw_edges,
-                    reg.predecessors_seen,
-                    reg.edge_list.iter().map(|e| e.pred).collect::<Vec<_>>(),
-                ));
-                finish_registration(&n);
-                nodes.push(n);
-            }
-            // Map TaskIds to per-run spawn indices so runs compare equal.
-            let index_of = |id: TaskId| nodes.iter().position(|n| n.id == id).unwrap();
-            out.into_iter()
-                .map(|(e, r, w, ww, seen, preds)| {
-                    (e, r, w, ww, seen, preds.into_iter().map(index_of).collect::<Vec<_>>())
-                })
-                .collect::<Vec<_>>()
-        };
-        // Reference: single shard, forced-locked (the historical tracker).
-        let reference = outcome(tracker_locked(1));
-        for shards in [1, 2, 3, 7, 16] {
-            assert_eq!(outcome(tracker(shards)), reference, "optimistic, shards = {shards}");
-            assert_eq!(
-                outcome(tracker_locked(shards)),
-                reference,
-                "forced-locked, shards = {shards}"
-            );
-        }
-    }
-
-    #[test]
-    fn fast_path_hits_and_fallbacks_are_counted() {
-        let tr = tracker(4);
-        // Single-allocation registrations take the fast path.
-        let a = node_with(vec![acc(1, 0, 0..10, AccessKind::Output)]);
-        let b = node_with(vec![
-            acc(1, 0, 0..10, AccessKind::Input),
-            acc(1, 1, 0..4, AccessKind::Output),
-        ]);
-        assert!(tr.register(&a, false).fast_path);
-        assert!(tr.register(&b, false).fast_path, "same-shard two-access task");
-        finish_registration(&a);
-        finish_registration(&b);
-        // A span over two shards falls back to the mutex path.
-        assert_ne!(tr.shard_of(AllocId(1)), tr.shard_of(AllocId(2)));
-        let c = node_with(vec![
-            acc(1, 0, 0..10, AccessKind::Input),
-            acc(2, 0, 0..10, AccessKind::Output),
-        ]);
-        assert!(!tr.register(&c, false).fast_path);
-        finish_registration(&c);
-        let diag = tr.diagnostics();
-        assert_eq!(diag.fast_path_hits, 2);
-        assert_eq!(diag.fast_path_fallbacks, 1);
-        // Access-free tasks neither hit nor fall back.
-        let free = node_with(vec![]);
-        tr.register(&free, false);
-        finish_registration(&free);
-        let diag = tr.diagnostics();
-        assert_eq!((diag.fast_path_hits, diag.fast_path_fallbacks), (2, 1));
-    }
-
-    #[test]
-    fn forced_locked_tracker_never_takes_the_fast_path() {
-        let tr = tracker_locked(4);
-        let a = node_with(vec![acc(1, 0, 0..10, AccessKind::Output)]);
-        assert!(!tr.register(&a, false).fast_path);
-        finish_registration(&a);
-        let diag = tr.diagnostics();
-        assert_eq!((diag.fast_path_hits, diag.fast_path_fallbacks), (0, 0));
-    }
-
-    #[test]
-    fn fast_path_falls_back_while_a_shard_is_held() {
-        let tr = tracker(2);
-        let a = node_with(vec![acc(2, 0, 0..10, AccessKind::Output)]);
-        let sid = tr.shard_of(AllocId(2));
-        {
-            let _guard = tr.lock_shard(sid); // e.g. GC sweeping this shard
-            assert!(
-                tr.try_register_fast(&a, false).is_none(),
-                "the gate is odd: the optimistic path must refuse"
-            );
-        }
-        // Gate released: the fast path works again.
-        assert!(tr.register(&a, false).fast_path);
-        finish_registration(&a);
-    }
-
-    #[test]
-    fn multi_alloc_registration_spans_shards() {
-        let tr = tracker(4);
-        // Allocations 1 and 2 land in different shards; a task reading both
-        // must collect predecessors from both shards atomically.
-        assert_ne!(tr.shard_of(AllocId(1)), tr.shard_of(AllocId(2)));
+    fn multi_alloc_registration_collects_from_every_allocation() {
+        let tr = tracker();
+        // A task reading two allocations collects its predecessors from
+        // both in one registration, in access-declaration order.
         let w1 = node_with(vec![acc(1, 0, 0..10, AccessKind::Output)]);
         let w2 = node_with(vec![acc(2, 0, 0..10, AccessKind::Output)]);
         tr.register(&w1, false);
@@ -2291,39 +1404,55 @@ mod tests {
         ]);
         let reg = tr.register(&r, true);
         assert_eq!(reg.edges, 2);
-        let shards: Vec<usize> = reg.edge_list.iter().map(|e| e.shard).collect();
-        assert_eq!(shards.len(), 2);
-        assert_ne!(shards[0], shards[1], "edges found in two distinct shards");
-        finish_registration(&r);
+        assert_eq!(reg.edge_list, vec![w1.id, w2.id]);
+        assert_eq!(reg.raw_edges, 2);
+        assert!(!finish_registration(&r));
+        assert!(finish(&w1).is_empty());
+        assert_eq!(finish(&w2).len(), 1, "the reader waits for both writers");
+        // Retiring the two-allocation reader tombstones both of its refs.
+        finish(&r);
+        tr.retire(&w1);
+        tr.retire(&w2);
+        tr.retire(&r);
+        tr.garbage_collect();
+        let diag = tr.diagnostics();
+        assert_eq!((diag.total_regions(), diag.total_allocs()), (0, 0));
     }
 
     #[test]
-    fn shard_routing_covers_all_shards() {
-        let tr = tracker(5);
-        let mut hit = [false; 5];
-        for a in 1..=40u64 {
-            let s = tr.shard_of(AllocId(a));
-            assert!(s < 5);
-            hit[s] = true;
-        }
-        assert!(hit.iter().all(|&h| h), "sequential ids reach every shard");
-    }
-
-    #[test]
-    fn shard_hit_and_contention_counters_accumulate() {
-        let tr = tracker(2);
+    fn blocked_acquisitions_count_as_contention() {
+        let tr = tracker();
         let w = node_with(vec![acc(1, 0, 0..10, AccessKind::Output)]);
+        // Single-threaded use never contends.
         tr.register(&w, false);
         finish_registration(&w);
-        let hits: u64 = tr.counters().hits().iter().sum();
-        assert!(hits >= 1);
-        // Single-threaded use never contends.
-        assert_eq!(tr.counters().contention(), 0);
+        assert_eq!(tr.contention(), 0);
+        assert!(!tr.is_locked());
+        let held = tr.state.lock();
+        assert!(tr.is_locked());
+        std::thread::scope(|scope| {
+            let r = scope.spawn(|| {
+                let r = node_with(vec![acc(1, 0, 0..10, AccessKind::Input)]);
+                tr.register(&r, false).edges
+            });
+            // The registering thread counts the contention before it
+            // blocks, so the lock can be released once the count moves.
+            while tr.contention() == 0 {
+                std::thread::yield_now();
+            }
+            drop(held);
+            assert_eq!(r.join().unwrap(), 1);
+        });
+        assert_eq!(tr.contention(), 1);
+        // Diagnostics and GC sweeps are not counted.
+        tr.garbage_collect();
+        tr.diagnostics();
+        assert_eq!(tr.contention(), 1);
     }
 
     #[test]
     fn taskwait_on_lists_only_incomplete_tasks() {
-        let tr = tracker(3);
+        let tr = tracker();
         let w = node_with(vec![acc(1, 0, 0..10, AccessKind::Output)]);
         let r = node_with(vec![acc(1, 0, 0..10, AccessKind::Input)]);
         tr.register(&w, false);
@@ -2344,25 +1473,25 @@ mod tests {
 
     #[test]
     fn garbage_collect_drops_dead_entries() {
-        let tr = tracker(2);
+        let tr = tracker();
         let w = node_with(vec![acc(1, 0, 0..10, AccessKind::Output)]);
         let w2 = node_with(vec![acc(2, 0, 0..10, AccessKind::Output)]);
         tr.register(&w, false);
         tr.register(&w2, false);
         finish_registration(&w);
         finish_registration(&w2);
-        assert_eq!(tr.tracked_regions(), 2);
+        assert_eq!(tr.diagnostics().total_regions(), 2);
         finish(&w);
         tr.garbage_collect();
-        assert_eq!(tr.tracked_regions(), 1);
+        assert_eq!(tr.diagnostics().total_regions(), 1);
         finish(&w2);
         tr.garbage_collect();
-        assert_eq!(tr.tracked_regions(), 0);
+        assert_eq!(tr.diagnostics().total_regions(), 0);
     }
 
     #[test]
     fn self_dependence_is_ignored() {
-        let tr = tracker(2);
+        let tr = tracker();
         // A task that both reads and writes the same region through two
         // accesses must not depend on itself.
         let n = node_with(vec![
@@ -2379,7 +1508,7 @@ mod tests {
         let a = node_with(vec![]);
         let b = node_with(vec![]);
         finish_registration(&a);
-        complete(&a);
+        finish(&a);
         assert!(!add_edge(&a, &b));
         assert!(finish_registration(&b));
     }
@@ -2392,7 +1521,7 @@ mod tests {
         let mut executed = 0usize;
         while let Some(n) = ready.pop_front() {
             executed += 1;
-            for r in complete(&n) {
+            for r in finish(&n) {
                 ready.push_back(r);
             }
         }
@@ -2407,8 +1536,7 @@ mod tests {
 
         /// Random access patterns over a handful of regions always produce an
         /// acyclic graph in which every task eventually runs (liveness), and
-        /// tasks writing the same region are totally ordered — whatever the
-        /// shard count.
+        /// tasks writing the same region are totally ordered.
         #[test]
         fn prop_random_graphs_are_live(
             specs in proptest::collection::vec(
@@ -2420,9 +1548,8 @@ mod tests {
                 ]),
                 1..40,
             ),
-            shards in 1usize..9,
         ) {
-            let tr = tracker(shards);
+            let tr = tracker();
             let mut nodes = Vec::new();
             let mut ready = Vec::new();
             for (chunk, kind) in specs {
@@ -2436,8 +1563,8 @@ mod tests {
             run_to_completion(nodes, ready);
         }
 
-        /// Multi-access tasks over overlapping regions (and therefore over
-        /// multiple shards) also stay live.
+        /// Multi-access tasks over overlapping regions of several
+        /// allocations also stay live.
         #[test]
         fn prop_multi_access_graphs_are_live(
             specs in proptest::collection::vec(
@@ -2451,14 +1578,12 @@ mod tests {
                 ),
                 1..25,
             ),
-            shards in 1usize..9,
         ) {
-            let tr = tracker(shards);
+            let tr = tracker();
             let mut nodes = Vec::new();
             let mut ready = Vec::new();
             for (i, accesses) in specs.into_iter().enumerate() {
-                // Spread tasks over several allocations so registrations
-                // genuinely span shards.
+                // Spread tasks over several allocations.
                 let alloc = 7 + (i % 3) as u64;
                 let accs: Vec<Access> = accesses
                     .into_iter()

@@ -19,7 +19,7 @@ use crate::critical::CriticalSections;
 use crate::dcheck::{AuditReport, AuditViolation, RaceReport};
 use crate::error::{Error, Result};
 use crate::failpoint::FaultPlan;
-use crate::graph::{self, ShardedTracker, TrackerDiagnostics};
+use crate::graph::{self, Tracker, TrackerDiagnostics};
 use crate::handle::{
     Accessible, Chunk, Data, PartitionedData, ReadGuard, SliceReadGuard, SliceWriteGuard, Whole,
     WriteGuard,
@@ -68,19 +68,6 @@ pub struct RuntimeConfig {
     /// Bound on the number of live versions per handle; the effective
     /// in-flight window for heap-backed types (Listing 1's ring depth `N`).
     pub rename_max_versions: usize,
-    /// Number of shards of the dependence tracker; `0` (the default) picks
-    /// `2 × workers`. Task registration and completion-retirement on
-    /// disjoint allocations contend only within a shard, so more shards
-    /// buy insertion throughput under many concurrently spawning threads
-    /// at the cost of a little fixed memory. See [`crate::graph`].
-    pub tracker_shards: usize,
-    /// Whether single-shard registrations (and single-access retirements)
-    /// may take the optimistic gate-CAS fast path instead of the shard
-    /// mutex. Enabled by default; `false` forces every tracker operation
-    /// through the mutex path — the reference configuration of the
-    /// equivalence suite and the baseline of `insertion_bench`. See
-    /// [`crate::graph`], "The optimistic fast path".
-    pub tracker_fast_path: bool,
     /// Whether an `output` access on a versioned handle may **elide** its
     /// rename when the current version has no in-flight bindings, binding it
     /// in place instead of allocating a fresh version. Enabled by default;
@@ -89,10 +76,9 @@ pub struct RuntimeConfig {
     /// How often (in spawned tasks) the dependence tracker is garbage
     /// collected from the spawn path; `0` disables the periodic sweep
     /// entirely (quiescent `taskwait`/`barrier` and explicit
-    /// [`Runtime::tracker_gc`] still collect). The sweep locks every shard
-    /// in turn — holding each shard's sequence gate odd, so optimistic
-    /// registrations on a shard being swept fall back to the mutex path for
-    /// the duration. Default [`DEFAULT_TRACKER_GC_INTERVAL`].
+    /// [`Runtime::tracker_gc`] still collect). The sweep holds the tracker
+    /// lock, so registrations and retirements wait for it. Default
+    /// [`DEFAULT_TRACKER_GC_INTERVAL`].
     pub tracker_gc_interval: u64,
     /// Whether retired task nodes are recycled through the per-runtime slab
     /// (the spawn-side allocation diet: a steady-state ≤2-access spawn then
@@ -114,9 +100,9 @@ pub struct RuntimeConfig {
     pub replay_prewiring: bool,
     /// Optional deterministic fault-injection plan (see [`crate::failpoint`]).
     /// `None` (the default) compiles the hooks down to a single `Option`
-    /// check; a seeded plan injects task panics, delayed completions, forced
-    /// rename-budget exhaustion and forced tracker fallbacks at the plan's
-    /// rates — reproducibly, from nothing but the seed.
+    /// check; a seeded plan injects task panics, delayed completions and
+    /// forced rename-budget exhaustion at the plan's rates — reproducibly,
+    /// from nothing but the seed.
     pub fault_plan: Option<FaultPlan>,
     /// Whether the [`dcheck`](crate::dcheck) race oracle is armed: every
     /// task carries a vector clock, bind-time accesses append to per-worker
@@ -141,8 +127,6 @@ impl Default for RuntimeConfig {
             rename_memory_cap: DEFAULT_RENAME_MEMORY_CAP,
             rename_pool_depth: DEFAULT_RENAME_POOL_DEPTH,
             rename_max_versions: DEFAULT_RENAME_MAX_VERSIONS,
-            tracker_shards: 0,
-            tracker_fast_path: true,
             rename_elision: true,
             tracker_gc_interval: DEFAULT_TRACKER_GC_INTERVAL,
             task_recycler: true,
@@ -207,24 +191,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Set the number of dependence-tracker shards explicitly; `0` restores
-    /// the default of `2 × workers`. Shard count 1 reproduces the historical
-    /// single-lock tracker, which the equivalence test suite uses as its
-    /// reference.
-    pub fn with_tracker_shards(mut self, shards: usize) -> Self {
-        self.tracker_shards = shards;
-        self
-    }
-
-    /// Enable or disable the tracker's optimistic single-shard fast path.
-    /// With `false` every registration and retirement takes the shard mutex
-    /// (the pre-fast-path behaviour); the discovered dependence structure is
-    /// identical either way — `tests/tracker_equivalence.rs` pins it.
-    pub fn with_tracker_fast_path(mut self, fast_path: bool) -> Self {
-        self.tracker_fast_path = fast_path;
-        self
-    }
-
     /// Enable or disable first-write rename elision on versioned handles
     /// (see [`crate::rename`]). With `false`, every renaming-enabled
     /// `output` allocates (or pool-recycles) a fresh version even when the
@@ -236,8 +202,7 @@ impl RuntimeConfig {
 
     /// Set the tracker garbage-collection cadence in spawned tasks; `0`
     /// disables the periodic sweep (quiescent and explicit GC still run).
-    /// Lower values bound history memory tighter at the cost of sweeping —
-    /// and of optimistic-path fallbacks while each shard is swept.
+    /// Lower values bound history memory tighter at the cost of sweeping.
     pub fn with_tracker_gc_interval(mut self, interval: u64) -> Self {
         self.tracker_gc_interval = interval;
         self
@@ -285,21 +250,12 @@ impl RuntimeConfig {
         self.dcheck = dcheck;
         self
     }
-
-    /// The shard count a runtime built from this configuration will use.
-    pub fn effective_tracker_shards(&self) -> usize {
-        if self.tracker_shards == 0 {
-            (self.workers * 2).max(1)
-        } else {
-            self.tracker_shards
-        }
-    }
 }
 
 pub(crate) struct RuntimeInner {
     pub(crate) config: RuntimeConfig,
     pub(crate) sched: SchedState,
-    pub(crate) tracker: ShardedTracker,
+    pub(crate) tracker: Tracker,
     pub(crate) root_children: Arc<ChildTracker>,
     pub(crate) in_flight: AtomicUsize,
     pub(crate) shutdown: AtomicBool,
@@ -379,12 +335,10 @@ impl RuntimeInner {
                 deps: registration.edges,
                 generation: node.generation,
             });
-            for edge in &registration.edge_list {
+            for &from in &registration.edge_list {
                 self.trace.record(TraceEvent::Edge {
                     task: id,
-                    from: edge.pred,
-                    shard: edge.shard,
-                    fast_path: registration.fast_path,
+                    from,
                     at_ns: self.trace.now_ns(),
                 });
             }
@@ -528,8 +482,8 @@ impl RuntimeInner {
             // the identities legitimately hold state while tasks fly.
             return Ok(report);
         }
-        if let Some(shard) = self.tracker.first_held_gate() {
-            return Err(AuditViolation::GateHeld { shard });
+        if self.tracker.is_locked() {
+            return Err(AuditViolation::TrackerLocked);
         }
         if report.tracked_regions != 0 || report.tracked_allocs != 0 {
             return Err(AuditViolation::TrackerResidue {
@@ -633,15 +587,9 @@ impl Runtime {
             .map(|_| WorkerDeque::new_lifo())
             .collect();
         let stealers = deques.iter().map(|d| d.stealer()).collect();
-        let tracker_shards = config.effective_tracker_shards();
-        let sched = SchedState::new(config.policy, config.idle, stealers, tracker_shards);
-        let mut tracker = ShardedTracker::new(tracker_shards, config.tracker_fast_path);
-        if let Some(plan) = config.fault_plan.clone() {
-            tracker.set_fault_plan(plan);
-        }
         let inner = Arc::new(RuntimeInner {
-            sched,
-            tracker,
+            sched: SchedState::new(config.policy, config.idle, stealers),
+            tracker: Tracker::default(),
             root_children: ChildTracker::new(),
             in_flight: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
@@ -690,21 +638,16 @@ impl Runtime {
         self.inner.config.policy
     }
 
-    /// Number of dependence-tracker shards in use.
-    pub fn tracker_shards(&self) -> usize {
-        self.inner.tracker.num_shards()
-    }
-
     /// Garbage-collect the dependence tracker now: drop retired-task
     /// tombstones, entries they emptied, and the `by_alloc` overlap-index
-    /// ids of dropped entries, shard by shard. This happens automatically
+    /// ids of dropped entries. This happens automatically
     /// every few hundred spawns and at every quiescent [`Runtime::taskwait`];
     /// the explicit entry point exists for leak tests and long-idle services.
     pub fn tracker_gc(&self) {
         self.inner.tracker.garbage_collect();
     }
 
-    /// Sizes of the tracker's per-shard maps right now. After a
+    /// Sizes of the tracker's history maps right now. After a
     /// [`Runtime::taskwait`] with no other threads spawning, every count is
     /// zero — anything else is a retire-path leak.
     pub fn tracker_diagnostics(&self) -> TrackerDiagnostics {
@@ -1040,11 +983,9 @@ impl Runtime {
             spawn_body_spills: c.get(StatField::SpawnBodySpills),
             replay_passes: c.get(StatField::ReplayPasses),
             replay_tasks: c.get(StatField::ReplayTasks),
-            tracker_shards: self.inner.tracker.num_shards(),
-            tracker_shard_hits: self.inner.tracker.counters().hits(),
-            tracker_lock_contention: self.inner.tracker.counters().contention(),
-            tracker_fast_path_hits: self.inner.tracker.counters().fast_hits(),
-            tracker_fast_path_fallbacks: self.inner.tracker.counters().fast_fallbacks(),
+            tracker_lock_contention: self.inner.tracker.contention(),
+            tracker_fast_path_hits: 0,
+            tracker_fast_path_fallbacks: 0,
         }
     }
 
@@ -1053,8 +994,8 @@ impl Runtime {
     ///
     /// At quiescence (`in_flight == 0` — e.g. right after a
     /// [`Runtime::taskwait`]) the full set of drain-time identities is
-    /// checked: `executed + poisoned + cancelled == spawned`, every tracker
-    /// shard gate even, no tracked history residue after GC, slab
+    /// checked: `executed + poisoned + cancelled == spawned`, the tracker
+    /// lock free at quiescence, no tracked history residue after GC, slab
     /// `outstanding == 0`, and version-ticket bind/release balance. While
     /// tasks are in flight only the direction that must hold mid-run is
     /// checked (the completion ledger never overtakes the spawn counter) —

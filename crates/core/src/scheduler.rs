@@ -17,13 +17,13 @@
 //!   core", Section 4) and it is the default.
 //! * [`SchedulerPolicy::ShardAffinity`] — like `LocalityWorkStealing`, but
 //!   when the completing worker is *not* the last worker to have completed
-//!   work on the woken task's dependence-tracker shard, the successor is
-//!   routed to that worker's **inbox** instead. The shard of a task's
-//!   dominant allocation is a cheap locality key (allocations — and renamed
-//!   versions — map to shards round-robin): the worker that last retired a
-//!   task on a shard probably still holds that allocation's data warm, and
-//!   biasing wakeups toward it pairs the sharded tracker with the locality
-//!   wakeup path (what Nanos++ does with socket-aware wakeups).
+//!   work on the woken task's *shard*, the successor is routed to that
+//!   worker's **inbox** instead. A task's shard is the allocation id of its
+//!   first access modulo `2 × workers`, a cheap locality key (allocations
+//!   — and renamed versions — map to shards round-robin): the worker that
+//!   last retired a task on a shard probably still holds that allocation's
+//!   data warm, and biasing wakeups toward it pairs data locality with the
+//!   locality wakeup path (what Nanos++ does with socket-aware wakeups).
 //!
 //! Independently of the policy, tasks with a non-zero priority go to a global
 //! priority heap that every worker checks first (the OmpSs `priority`
@@ -37,6 +37,7 @@ use crossbeam::deque::{Injector, Steal, Stealer, Worker as WorkerDeque};
 use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
 
+use crate::region::AllocId;
 use crate::task::TaskNode;
 
 /// Scheduling policy for ready tasks.
@@ -53,7 +54,7 @@ pub enum SchedulerPolicy {
     #[default]
     LocalityWorkStealing,
     /// `LocalityWorkStealing` plus shard-aware placement: a woken task whose
-    /// dependence-tracker shard was last worked on by a *different* worker
+    /// shard (allocation bucket) was last worked on by a *different* worker
     /// is routed to that worker's inbox (see the module docs).
     ShardAffinity,
 }
@@ -85,7 +86,7 @@ pub struct SchedCounters {
     /// Wakeups pushed to the global queue.
     pub global_wakeups: AtomicU64,
     /// Wakeups routed to another worker's inbox because that worker last
-    /// completed work on the woken task's tracker shard
+    /// completed work on the woken task's shard
     /// ([`SchedulerPolicy::ShardAffinity`]).
     pub affinity_wakeups: AtomicU64,
     /// Steals served from a *preferred* victim inbox: one whose most
@@ -136,10 +137,10 @@ pub(crate) struct SchedState {
     /// owner). Each worker drains its own inbox right after its deque; idle
     /// workers steal from other inboxes last, so routed work never strands.
     inboxes: Vec<Injector<Arc<TaskNode>>>,
-    /// Last worker to complete a task on each tracker shard (relaxed;
-    /// `usize::MAX` = never). Indexed by shard id.
+    /// Last worker to complete a task on each shard (relaxed;
+    /// `usize::MAX` = never). Indexed by shard id; `2 × workers` entries.
     shard_homes: Box<[AtomicUsize]>,
-    /// Per worker: the tracker shard of the task it most recently completed
+    /// Per worker: the shard of the task it most recently completed
     /// (`usize::MAX` = none yet). The thief-side half of the affinity
     /// signal: an idle worker prefers stealing inbox work tagged with its
     /// own recent shard.
@@ -167,13 +168,11 @@ pub(crate) struct SchedState {
 }
 
 impl SchedState {
-    /// Create scheduler state for `stealers.len()` workers and
-    /// `tracker_shards` dependence-tracker shards.
+    /// Create scheduler state for `stealers.len()` workers.
     pub(crate) fn new(
         policy: SchedulerPolicy,
         idle: IdlePolicy,
         stealers: Vec<Stealer<Arc<TaskNode>>>,
-        tracker_shards: usize,
     ) -> Self {
         let workers = stealers.len();
         SchedState {
@@ -184,7 +183,9 @@ impl SchedState {
             prio: Mutex::new(BinaryHeap::new()),
             stealers,
             inboxes: (0..workers).map(|_| Injector::new()).collect(),
-            shard_homes: (0..tracker_shards).map(|_| AtomicUsize::new(usize::MAX)).collect(),
+            shard_homes: (0..2 * workers.max(1))
+                .map(|_| AtomicUsize::new(usize::MAX))
+                .collect(),
             recent_shard: (0..workers).map(|_| AtomicUsize::new(usize::MAX)).collect(),
             inbox_last_shard: (0..workers).map(|_| AtomicUsize::new(usize::MAX)).collect(),
             prio_seq: AtomicU64::new(0),
@@ -196,8 +197,14 @@ impl SchedState {
         }
     }
 
+    /// The [`SchedulerPolicy::ShardAffinity`] locality key of an allocation:
+    /// its id modulo `2 × workers`.
+    pub(crate) fn shard_of(&self, alloc: AllocId) -> usize {
+        (alloc.raw() % self.shard_homes.len() as u64) as usize
+    }
+
     /// Record that `worker` just completed a task whose dominant allocation
-    /// lives on tracker shard `shard` (the shard-affinity locality key, on
+    /// lives on shard `shard` (the shard-affinity locality key, on
     /// both sides: the shard remembers its home worker for wakeup routing,
     /// and the worker remembers its recent shard for steal preference).
     pub(crate) fn note_shard_completion(&self, shard: usize, worker: usize) {
@@ -305,7 +312,7 @@ impl SchedState {
     /// Queue a task that became ready because one of its predecessors
     /// completed. `local` is the deque (and `worker` the index) of the
     /// worker that completed the predecessor; `shard` is the woken task's
-    /// dominant tracker shard, used by [`SchedulerPolicy::ShardAffinity`].
+    /// dominant shard, used by [`SchedulerPolicy::ShardAffinity`].
     pub(crate) fn push_wakeup(
         &self,
         node: Arc<TaskNode>,
@@ -569,7 +576,7 @@ mod tests {
     use crate::task::{ChildTracker, TaskPriority};
 
     fn node(priority: i32) -> Arc<TaskNode> {
-        TaskNode::new(
+        Arc::new(TaskNode::build(
             None,
             TaskPriority(priority),
             AccessVec::new(),
@@ -577,7 +584,7 @@ mod tests {
             ChildTracker::new(),
             crate::task::INLINE_BODY_BYTES,
             &mut false,
-        )
+        ))
     }
 
     fn sched(policy: SchedulerPolicy, workers: usize) -> (SchedState, Vec<WorkerDeque<Arc<TaskNode>>>) {
@@ -585,7 +592,7 @@ mod tests {
             (0..workers).map(|_| WorkerDeque::new_lifo()).collect();
         let stealers = deques.iter().map(|d| d.stealer()).collect();
         (
-            SchedState::new(policy, IdlePolicy::Polling, stealers, 4),
+            SchedState::new(policy, IdlePolicy::Polling, stealers),
             deques,
         )
     }
@@ -779,7 +786,6 @@ mod tests {
             SchedulerPolicy::Fifo,
             IdlePolicy::Blocking,
             stealers,
-            2,
         ));
         let s2 = s.clone();
         let handle = std::thread::spawn(move || {

@@ -2,14 +2,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Pads a counter to its own cache-line pair so relaxed increments from
-/// different threads never bounce one line between cores. 128 bytes covers
-/// the common 64-byte line plus the adjacent-line spatial prefetcher of x86
-/// parts (the same sizing crossbeam's `CachePadded` uses).
-#[repr(align(128))]
-#[derive(Debug, Default)]
-pub(crate) struct CachePadded<T>(pub(crate) T);
-
 /// Internal atomic counters, updated by workers and the spawn path.
 #[derive(Debug, Default)]
 pub(crate) struct StatCounters {
@@ -75,86 +67,6 @@ impl StatCounters {
             StatField::TasksPoisoned => &self.tasks_poisoned,
             StatField::TasksCancelled => &self.tasks_cancelled,
         }
-    }
-}
-
-/// Counters of the sharded dependence tracker: one hit counter per shard
-/// plus a global contention counter. Owned by the tracker router
-/// ([`crate::graph`]) and snapshotted into [`RuntimeStats`].
-///
-/// Shard locks are acquired try-lock-first: a successful `try_lock` is an
-/// uncontended hit, a failed one bumps `lock_contention` before blocking.
-/// `lock_contention / sum(shard_hits)` is therefore the fraction of tracker
-/// accesses that had to wait — the number sharding is meant to drive to zero.
-#[derive(Debug)]
-pub(crate) struct TrackerCounters {
-    /// One hit counter per shard, each padded to its own cache-line pair:
-    /// shards are hit concurrently by independent spawners, and a dense
-    /// `[AtomicU64]` made adjacent shards' relaxed increments bounce one
-    /// line between every spawning core (measured as pure overhead at 8
-    /// spawners — the counters are statistics, they must not *create*
-    /// contention the shards were built to remove).
-    shard_hits: Box<[CachePadded<AtomicU64>]>,
-    lock_contention: AtomicU64,
-    fast_path_hits: AtomicU64,
-    fast_path_fallbacks: AtomicU64,
-}
-
-impl TrackerCounters {
-    pub(crate) fn new(shards: usize) -> Self {
-        TrackerCounters {
-            shard_hits: (0..shards)
-                .map(|_| CachePadded(AtomicU64::new(0)))
-                .collect(),
-            lock_contention: AtomicU64::new(0),
-            fast_path_hits: AtomicU64::new(0),
-            fast_path_fallbacks: AtomicU64::new(0),
-        }
-    }
-
-    /// Record an acquisition of `shard`'s lock (or gate).
-    pub(crate) fn hit(&self, shard: usize) {
-        self.shard_hits[shard].0.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a shard lock that was held by another thread at acquisition.
-    pub(crate) fn contended(&self) {
-        self.lock_contention.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a registration that completed through the optimistic
-    /// single-shard fast path.
-    pub(crate) fn fast_hit(&self) {
-        self.fast_path_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a registration that wanted the fast path but took the mutex
-    /// path instead (contention, multi-allocation span, GC in progress).
-    pub(crate) fn fast_fallback(&self) {
-        self.fast_path_fallbacks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Per-shard hit counts.
-    pub(crate) fn hits(&self) -> Vec<u64> {
-        self.shard_hits
-            .iter()
-            .map(|c| c.0.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Total contended acquisitions.
-    pub(crate) fn contention(&self) -> u64 {
-        self.lock_contention.load(Ordering::Relaxed)
-    }
-
-    /// Total fast-path registrations.
-    pub(crate) fn fast_hits(&self) -> u64 {
-        self.fast_path_hits.load(Ordering::Relaxed)
-    }
-
-    /// Total fast-path fallbacks.
-    pub(crate) fn fast_fallbacks(&self) -> u64 {
-        self.fast_path_fallbacks.load(Ordering::Relaxed)
     }
 }
 
@@ -247,26 +159,15 @@ pub struct RuntimeStats {
     pub sched_global_wakeups: u64,
     /// Tasks that went through the priority heap.
     pub sched_priority_pops: u64,
-    /// Number of shards of the dependence tracker (see
-    /// [`RuntimeConfig::with_tracker_shards`](crate::RuntimeConfig::with_tracker_shards)).
-    pub tracker_shards: usize,
-    /// Shard-lock acquisitions per tracker shard (registration, completion
-    /// retirement and `taskwait on` lookups), indexed by shard. Renamed
-    /// versions carry fresh allocation ids, so a balanced workload shows a
-    /// near-uniform distribution here.
-    pub tracker_shard_hits: Vec<u64>,
-    /// Tracker shard-lock acquisitions that found the lock held by another
-    /// thread (the try-lock failed and the caller blocked). With one shard
-    /// this counts every spawn/retire collision; with enough shards it should
-    /// stay near zero for tasks touching disjoint allocations.
+    /// Tracker lock acquisitions (registration, completion retirement and
+    /// `taskwait on` lookups) that found the lock held by another thread:
+    /// the try-lock failed and the caller blocked.
     pub tracker_lock_contention: u64,
-    /// Registrations that completed through the optimistic single-shard
-    /// fast path (one gate CAS, no mutex) — see
-    /// [`RuntimeConfig::with_tracker_fast_path`](crate::RuntimeConfig::with_tracker_fast_path).
+    /// Always 0. Counted registrations through the optimistic tracker tier,
+    /// which was removed (the tracker is one lock, see [`crate::graph`]);
+    /// kept so that readers of the field keep compiling.
     pub tracker_fast_path_hits: u64,
-    /// Registrations that wanted the fast path but fell back to the mutex
-    /// path: the shard was contended, the accesses spanned several shards,
-    /// or a GC sweep held the shard.
+    /// Always 0, like [`RuntimeStats::tracker_fast_path_hits`].
     pub tracker_fast_path_fallbacks: u64,
     /// `output` accesses on versioned handles whose rename was **elided**:
     /// the current version had no in-flight bindings (every earlier bound
@@ -275,7 +176,7 @@ pub struct RuntimeStats {
     /// [`RuntimeStats::renames`].
     pub renames_elided: u64,
     /// Successor tasks routed to the deque inbox of the worker that last
-    /// completed work on the successor's tracker shard
+    /// completed work on the successor's shard
     /// ([`SchedulerPolicy::ShardAffinity`](crate::SchedulerPolicy::ShardAffinity)).
     pub sched_affinity_wakeups: u64,
     /// Steals served from a *preferred* victim inbox — one whose most
@@ -363,36 +264,10 @@ impl RuntimeStats {
             .saturating_sub(self.tasks_cancelled)
     }
 
-    /// Fraction of tracker shard-lock acquisitions that had to wait for
-    /// another thread. `None` when the tracker was never touched.
-    pub fn tracker_contention_rate(&self) -> Option<f64> {
-        let total: u64 = self.tracker_shard_hits.iter().sum();
-        if total == 0 {
-            None
-        } else {
-            Some(self.tracker_lock_contention as f64 / total as f64)
-        }
-    }
-
-    /// Fraction of fast-path-eligible registrations that completed through
-    /// the optimistic single-shard path. `None` when no registration with
-    /// accesses happened (hits + fallbacks account for every such
-    /// registration while the fast path is enabled).
-    pub fn tracker_fast_path_rate(&self) -> Option<f64> {
-        let total = self.tracker_fast_path_hits + self.tracker_fast_path_fallbacks;
-        if total == 0 {
-            None
-        } else {
-            Some(self.tracker_fast_path_hits as f64 / total as f64)
-        }
-    }
-
     /// Fold another runtime's snapshot into this one — the aggregation a
     /// multi-runtime pool (one tenant of the service frontend, say) uses to
-    /// report a single per-tenant figure. Every counter is summed; worker
-    /// and shard counts add up; `tracker_shard_hits` are added element-wise
-    /// when both pools have the same shard count and concatenated otherwise
-    /// (the per-shard split is only meaningful within one tracker).
+    /// report a single per-tenant figure. Every counter is summed, and so are
+    /// the worker counts.
     pub fn merge(&mut self, other: &RuntimeStats) {
         self.workers += other.workers;
         self.tasks_spawned += other.tasks_spawned;
@@ -429,22 +304,9 @@ impl RuntimeStats {
         self.replay_tasks += other.replay_tasks;
         self.tasks_poisoned += other.tasks_poisoned;
         self.tasks_cancelled += other.tasks_cancelled;
-        self.tracker_shards += other.tracker_shards;
         self.tracker_lock_contention += other.tracker_lock_contention;
         self.tracker_fast_path_hits += other.tracker_fast_path_hits;
         self.tracker_fast_path_fallbacks += other.tracker_fast_path_fallbacks;
-        if self.tracker_shard_hits.len() == other.tracker_shard_hits.len() {
-            for (mine, theirs) in self
-                .tracker_shard_hits
-                .iter_mut()
-                .zip(&other.tracker_shard_hits)
-            {
-                *mine += theirs;
-            }
-        } else {
-            self.tracker_shard_hits
-                .extend_from_slice(&other.tracker_shard_hits);
-        }
     }
 
     /// Fraction of task-node acquisitions served from the slab free list —
@@ -476,72 +338,26 @@ mod tests {
     }
 
     #[test]
-    fn tracker_counters_and_contention_rate() {
-        let c = TrackerCounters::new(4);
-        c.hit(0);
-        c.hit(0);
-        c.hit(3);
-        c.contended();
-        assert_eq!(c.hits(), vec![2, 0, 0, 1]);
-        assert_eq!(c.contention(), 1);
-        let s = RuntimeStats {
-            tracker_shard_hits: vec![2, 0, 0, 1],
-            tracker_lock_contention: 1,
-            ..Default::default()
-        };
-        assert!((s.tracker_contention_rate().unwrap() - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(RuntimeStats::default().tracker_contention_rate(), None);
-    }
-
-    #[test]
-    fn fast_path_counters_and_rate() {
-        let c = TrackerCounters::new(2);
-        c.fast_hit();
-        c.fast_hit();
-        c.fast_hit();
-        c.fast_fallback();
-        assert_eq!(c.fast_hits(), 3);
-        assert_eq!(c.fast_fallbacks(), 1);
-        let s = RuntimeStats {
-            tracker_fast_path_hits: 3,
-            tracker_fast_path_fallbacks: 1,
-            ..Default::default()
-        };
-        assert!((s.tracker_fast_path_rate().unwrap() - 0.75).abs() < 1e-12);
-        assert_eq!(RuntimeStats::default().tracker_fast_path_rate(), None);
-    }
-
-    #[test]
-    fn merge_sums_counters_and_shard_hits() {
+    fn merge_sums_counters() {
         let mut a = RuntimeStats {
             workers: 2,
             tasks_spawned: 10,
             replay_passes: 3,
-            tracker_shards: 2,
-            tracker_shard_hits: vec![4, 6],
+            tracker_lock_contention: 4,
             ..Default::default()
         };
         let b = RuntimeStats {
             workers: 1,
             tasks_spawned: 5,
             replay_passes: 1,
-            tracker_shards: 2,
-            tracker_shard_hits: vec![1, 2],
+            tracker_lock_contention: 1,
             ..Default::default()
         };
         a.merge(&b);
         assert_eq!(a.workers, 3);
         assert_eq!(a.tasks_spawned, 15);
         assert_eq!(a.replay_passes, 4);
-        assert_eq!(a.tracker_shards, 4);
-        assert_eq!(a.tracker_shard_hits, vec![5, 8]);
-        // Mismatched shard counts concatenate instead.
-        let c = RuntimeStats {
-            tracker_shard_hits: vec![7],
-            ..Default::default()
-        };
-        a.merge(&c);
-        assert_eq!(a.tracker_shard_hits, vec![5, 8, 7]);
+        assert_eq!(a.tracker_lock_contention, 5);
     }
 
     #[test]

@@ -346,7 +346,7 @@ pub(crate) struct TaskNode {
     /// access that resolved against a versioned handle); drained exactly
     /// once on completion.
     pub tickets: Mutex<Vec<Box<dyn VersionTicket>>>,
-    /// Set once the completion path has retired this task from the sharded
+    /// Set once the completion path has retired this task from the
     /// dependence tracker, making retirement idempotent (see
     /// [`TaskNode::mark_retired`]).
     pub retired: AtomicBool,
@@ -390,34 +390,10 @@ unsafe impl Send for TaskNode {}
 unsafe impl Sync for TaskNode {}
 
 impl TaskNode {
-    /// Create a fresh node with the registration sentinel held (pending = 1).
-    /// `spilled` reports whether the body missed the inline buffer.
-    pub(crate) fn new<F>(
-        name: Option<Arc<str>>,
-        priority: TaskPriority,
-        accesses: AccessVec,
-        body: F,
-        parent_children: Arc<ChildTracker>,
-        inline_limit: usize,
-        spilled: &mut bool,
-    ) -> Arc<Self>
-    where
-        F: FnOnce(&TaskContext<'_>) + Send + 'static,
-    {
-        Arc::new(Self::build(
-            name,
-            priority,
-            accesses,
-            body,
-            parent_children,
-            inline_limit,
-            spilled,
-        ))
-    }
-
-    /// As [`TaskNode::new`] but returning the plain value, for callers (the
-    /// slab's fresh-allocation path) that still need to set owner-only
-    /// fields before sharing the node behind an `Arc`.
+    /// Create a fresh node with the registration sentinel held (pending = 1)
+    /// as a plain value, for callers (the slab's fresh-allocation path) that
+    /// still need to set owner-only fields before sharing it behind an
+    /// `Arc`. `spilled` reports whether the body missed the inline buffer.
     pub(crate) fn build<F>(
         name: Option<Arc<str>>,
         priority: TaskPriority,
@@ -550,7 +526,7 @@ impl TaskNode {
 
     /// Claim the right to retire this task from the dependence history.
     /// Returns `true` exactly once; later callers see `false` and skip the
-    /// shard walk.
+    /// history walk.
     pub(crate) fn mark_retired(&self) -> bool {
         !self.retired.swap(true, Ordering::AcqRel)
     }
@@ -924,7 +900,7 @@ mod tests {
     use super::*;
 
     fn dummy_node() -> Arc<TaskNode> {
-        TaskNode::new(
+        Arc::new(TaskNode::build(
             Some("dummy".into()),
             TaskPriority(2),
             AccessVec::new(),
@@ -932,7 +908,7 @@ mod tests {
             ChildTracker::new(),
             INLINE_BODY_BYTES,
             &mut false,
-        )
+        ))
     }
 
     /// `TaskSlab::acquire` with the boilerplate arguments filled in.
@@ -977,7 +953,7 @@ mod tests {
 
     #[test]
     fn unnamed_node_displays_id() {
-        let n = TaskNode::new(
+        let n = TaskNode::build(
             None,
             TaskPriority::default(),
             AccessVec::new(),

@@ -232,7 +232,7 @@ fn retire_node(
     let affinity = inner.config.policy == crate::scheduler::SchedulerPolicy::ShardAffinity;
 
     // Under shard-affinity scheduling each successor carries its dominant
-    // tracker shard as a placement hint.
+    // shard as a placement hint.
     for succ in ready.drain(..) {
         if trace_enabled {
             inner.trace.record(TraceEvent::Ready {
@@ -243,18 +243,17 @@ fn retire_node(
         let shard = if affinity {
             succ.accesses
                 .first()
-                .map(|a| inner.tracker.shard_of(a.region.id.alloc))
+                .map(|a| inner.sched.shard_of(a.region.id.alloc))
         } else {
             None
         };
         inner.sched.push_wakeup(succ, deque, worker, shard);
     }
 
-    // Retire the task's dependence history through the sharded router:
-    // its live references become tombstones under the owning shards' locks
-    // only, so completions on disjoint allocations never contend (and the
-    // node — closure, successors, tickets — is released now, not at the
-    // next garbage collection).
+    // Retire the task's dependence history: its live references become
+    // tombstones under one tracker lock acquisition (and the node —
+    // closure, successors, tickets — is released now, not at the next
+    // garbage collection).
     inner.tracker.retire(&node);
 
     // Only now release the version bindings, so superseded versions can be
@@ -275,7 +274,7 @@ fn retire_node(
         if let (Some(w), Some(access)) = (worker, node.accesses.first()) {
             inner
                 .sched
-                .note_shard_completion(inner.tracker.shard_of(access.region.id.alloc), w);
+                .note_shard_completion(inner.sched.shard_of(access.region.id.alloc), w);
         }
     }
 

@@ -330,9 +330,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Chaos: a seeded `FaultPlan` injecting task panics, delayed
-    /// completions, rename exhaustion and tracker fallbacks inside the
-    /// tenants' runtimes — plus queue-full bursts at the service edge —
-    /// driven through the full stack. Every admitted ticket reaches a
+    /// completions and rename exhaustion inside the tenants' runtimes —
+    /// plus queue-full bursts at the service edge — driven through the full
+    /// stack. Every admitted ticket reaches a
     /// terminal state, the ledger balances, completed jobs' effects are
     /// exactly intact, and the tenants' pools drain clean.
     #[test]
@@ -344,8 +344,7 @@ proptest! {
         let tenant_plan = FaultPlan::seeded(seed)
             .panic_one_in(panic_one_in)
             .delay_one_in(4, 8)
-            .rename_exhaust_one_in(5)
-            .tracker_fallback_one_in(6);
+            .rename_exhaust_one_in(5);
         let svc = JobService::new(
             ServiceConfig::default()
                 .with_dispatchers(2)

@@ -1,8 +1,8 @@
 //! End-to-end failure semantics of the core runtime: cancel scopes,
-//! deterministic fault injection (panics, delays, rename exhaustion,
-//! tracker fallbacks), and the drain-clean guarantee — however a graph is
-//! poisoned or cancelled, every node retires, every diagnostic returns to
-//! zero, and unaffected results stay exact.
+//! deterministic fault injection (panics, delays, rename exhaustion), and
+//! the drain-clean guarantee — however a graph is poisoned or cancelled,
+//! every node retires, every diagnostic returns to zero, and unaffected
+//! results stay exact.
 
 use std::sync::mpsc;
 
@@ -146,33 +146,6 @@ fn forced_rename_exhaustion_falls_back_without_changing_results() {
     rt.shutdown();
 }
 
-/// Forcing the tracker's lock-free fast path to report contention exercises
-/// the mutex fallback on every registration; dependency order is identical.
-#[test]
-fn forced_tracker_fallback_keeps_dependency_order() {
-    let plan = FaultPlan::seeded(23).tracker_fallback_one_in(1);
-    let rt = Runtime::new(
-        RuntimeConfig::default()
-            .with_workers(2)
-            .with_tracker_shards(4)
-            .with_fault_plan(plan),
-    );
-    let data = rt.data(0u64);
-    for i in 1..=16u64 {
-        let h = data.clone();
-        rt.task().inout(&h).spawn(move |ctx| *ctx.write(&h) += i);
-    }
-    rt.taskwait();
-    let stats = rt.stats();
-    assert!(
-        stats.tracker_fast_path_fallbacks > 0,
-        "forced fallbacks must be taken and counted"
-    );
-    assert_eq!(rt.in_flight_tasks(), 0);
-    assert_eq!(rt.into_inner(data), (1..=16).sum::<u64>());
-    rt.shutdown();
-}
-
 /// A replay pass whose task panics poisons only that batch: the template
 /// stays usable and the next pass completes with correct values.
 #[test]
@@ -217,7 +190,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// However a graph is randomly poisoned (injected panics) and/or
-    /// cancelled, across tracker shard counts and recycler settings: the
+    /// cancelled, with the task-node recycler on or off: the
     /// graph drains (no in-flight tasks, no outstanding slab nodes, no
     /// tracked regions), the retirement ledger balances
     /// (`executed + poisoned + cancelled == spawned`), and the committed
@@ -229,14 +202,13 @@ proptest! {
         panic_one_in in 2u64..12,
         cancel in proptest::bool::ANY,
     ) {
-        for (shards, recycler) in [(1usize, true), (2, false), (7, true), (16, false)] {
+        for recycler in [true, false] {
             let plan = FaultPlan::seeded(seed)
                 .panic_one_in(panic_one_in)
                 .delay_one_in(5, 8);
             let rt = Runtime::new(
                 RuntimeConfig::default()
                     .with_workers(2)
-                    .with_tracker_shards(shards)
                     .with_task_recycler(recycler)
                     .with_fault_plan(plan),
             );
@@ -253,7 +225,7 @@ proptest! {
             }
             let _ = rt.try_taskwait();
             let stats = rt.stats();
-            prop_assert_eq!(rt.in_flight_tasks(), 0, "shards={} recycler={}", shards, recycler);
+            prop_assert_eq!(rt.in_flight_tasks(), 0, "recycler={}", recycler);
             prop_assert_eq!(rt.task_slab_diagnostics().outstanding, 0);
             prop_assert_eq!(rt.tracker_diagnostics().total_regions(), 0);
             prop_assert_eq!(

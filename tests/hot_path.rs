@@ -1,6 +1,5 @@
-//! The task-insertion hot path: first-write rename elision, the optimistic
-//! registration fast path under adversarial GC, and shard-affinity
-//! scheduling.
+//! The task-insertion hot path: first-write rename elision, concurrent
+//! registration under adversarial GC, and shard-affinity scheduling.
 //!
 //! Three angles:
 //!
@@ -12,9 +11,10 @@
 //!    chunk written exactly once) must elide *every* rename — zero versions
 //!    allocated, zero WAR/WAW edges — deterministically, because workers
 //!    release version bindings only after tracker retirement.
-//! 3. **Fallback under GC.** With the GC cadence forced to every spawn, the
-//!    optimistic path keeps falling back to the mutex path mid-storm; no
-//!    edge may be lost and the tracker must drain clean.
+//! 3. **Registration under GC.** With the GC cadence forced to every spawn,
+//!    sweeps keep taking the tracker lock mid-storm between concurrent
+//!    registrations and retirements; no edge may be lost and the tracker
+//!    must drain clean.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -310,11 +310,10 @@ fn unelide_under_exhausted_budget_keeps_documented_fallback_aliasing() {
 }
 
 // ---------------------------------------------------------------------------
-// 3. Optimistic-path fallback under a GC storm
+// 3. Concurrent registration under a GC storm
 // ---------------------------------------------------------------------------
 
-fn gc_storm(config: RuntimeConfig, spawners: usize, per_thread: usize) -> ompss::RuntimeStats {
-    let fast_path = config.tracker_fast_path;
+fn gc_storm(config: RuntimeConfig, spawners: usize, per_thread: usize) {
     let rt = Runtime::new(config);
     let bodies = Arc::new(AtomicU64::new(0));
     let chains: Vec<_> = std::thread::scope(|scope| {
@@ -323,9 +322,8 @@ fn gc_storm(config: RuntimeConfig, spawners: usize, per_thread: usize) -> ompss:
                 let rt = &rt;
                 let bodies = bodies.clone();
                 scope.spawn(move || {
-                    // A single-access inout chain: every registration is
-                    // fast-path eligible, every edge is load-bearing (a lost
-                    // edge loses an increment).
+                    // A single-access inout chain: every edge is
+                    // load-bearing (a lost edge loses an increment).
                     let chain = rt.data(0u64);
                     for _ in 0..per_thread {
                         let c = chain.clone();
@@ -351,21 +349,14 @@ fn gc_storm(config: RuntimeConfig, spawners: usize, per_thread: usize) -> ompss:
     for chain in &chains {
         assert_eq!(rt.fetch(chain), per_thread as u64, "no chain edge was lost");
     }
-    // Every registration had accesses: with the fast path enabled, hits +
-    // fallbacks must account for all of them (including the fetch tasks
-    // spawned just above).
-    let after_fetch = rt.stats();
-    if fast_path {
-        assert_eq!(
-            after_fetch.tracker_fast_path_hits + after_fetch.tracker_fast_path_fallbacks,
-            after_fetch.tasks_spawned,
-        );
-    }
     rt.taskwait();
     let diag = rt.tracker_diagnostics();
-    assert_eq!((diag.total_regions(), diag.total_allocs()), (0, 0), "clean drain");
+    assert_eq!(
+        (diag.total_regions(), diag.total_allocs()),
+        (0, 0),
+        "clean drain"
+    );
     rt.shutdown();
-    stats
 }
 
 fn storm_tasks() -> usize {
@@ -377,16 +368,13 @@ fn storm_tasks() -> usize {
 }
 
 #[test]
-fn fast_path_survives_gc_every_spawn() {
-    // GC after every single spawn: each sweep locks every shard (holding the
-    // gates odd), so optimistic registrations keep colliding with sweeps and
-    // falling back mid-storm. Nothing may be lost. (Whether a given run
-    // records fallbacks depends on timing — the deterministic fallback
-    // check lives in `multi_shard_spans_always_fall_back`.)
+fn spawn_storm_survives_gc_every_spawn() {
+    // GC after every single spawn: each sweep takes the tracker lock, so
+    // registrations and retirements keep queueing behind sweeps mid-storm.
+    // Nothing may be lost.
     gc_storm(
         RuntimeConfig::default()
             .with_workers(4)
-            .with_tracker_shards(4)
             .with_tracker_gc_interval(1),
         4,
         storm_tasks(),
@@ -394,81 +382,18 @@ fn fast_path_survives_gc_every_spawn() {
 }
 
 #[test]
-fn multi_shard_spans_always_fall_back() {
-    use ompss::Accessible;
-    // A registration whose accesses live in different shards can never take
-    // the single-shard fast path. Find two handles that provably map to
-    // different shards (shard = alloc id % shard count, pinned by the graph
-    // docs) and span them.
-    let rt = Runtime::new(RuntimeConfig::default().with_workers(2).with_tracker_shards(4));
-    let shards = rt.tracker_shards() as u64;
-    let a = rt.data(1u64);
-    let b = loop {
-        let b = rt.data(2u64);
-        if b.region().id.alloc.raw() % shards != a.region().id.alloc.raw() % shards {
-            break b;
-        }
-    };
-    let before = rt.stats();
-    for _ in 0..10 {
-        let (a, b) = (a.clone(), b.clone());
-        rt.task().input(&a).input(&b).spawn(move |ctx| {
-            let _ = *ctx.read(&a) + *ctx.read(&b);
-        });
-    }
-    rt.taskwait();
-    let after = rt.stats();
-    assert!(
-        after.tracker_fast_path_fallbacks >= before.tracker_fast_path_fallbacks + 10,
-        "every multi-shard span falls back to the mutex path"
-    );
-    // And single-allocation spawns on the same runtime still hit.
-    let c = rt.data(0u64);
-    for _ in 0..10 {
-        let c = c.clone();
-        rt.task().inout(&c).spawn(move |ctx| *ctx.write(&c) += 1);
-    }
-    rt.taskwait();
-    let hits_after = rt.stats();
-    assert!(hits_after.tracker_fast_path_hits >= after.tracker_fast_path_hits + 10);
-    assert_eq!(rt.fetch(&c), 10);
-    rt.shutdown();
-}
-
-#[test]
-fn fast_path_storm_with_periodic_gc_and_disabled_gc() {
-    // Default cadence, and the cadence knob's edge cases: interval 0
+fn spawn_storm_with_periodic_gc_and_disabled_gc() {
+    // Default cadence, and the cadence knob's edge case: interval 0
     // disables the periodic sweep entirely (quiescent taskwait still
     // collects, so the drain check inside gc_storm stays valid).
-    gc_storm(
-        RuntimeConfig::default().with_workers(4).with_tracker_shards(8),
-        4,
-        storm_tasks(),
-    );
+    gc_storm(RuntimeConfig::default().with_workers(4), 4, storm_tasks());
     gc_storm(
         RuntimeConfig::default()
             .with_workers(2)
-            .with_tracker_shards(2)
             .with_tracker_gc_interval(0),
         2,
         storm_tasks(),
     );
-}
-
-#[test]
-fn forced_locked_storm_matches_invariants() {
-    // The mutex-only configuration survives the same storm (it is the
-    // equivalence reference); no hit/fallback counters move.
-    let stats = gc_storm(
-        RuntimeConfig::default()
-            .with_workers(4)
-            .with_tracker_shards(4)
-            .with_tracker_fast_path(false)
-            .with_tracker_gc_interval(64),
-        4,
-        storm_tasks(),
-    );
-    assert_eq!(stats.tracker_fast_path_hits + stats.tracker_fast_path_fallbacks, 0);
 }
 
 // ---------------------------------------------------------------------------

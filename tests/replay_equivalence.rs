@@ -4,8 +4,8 @@
 //! for any captured program, every replay pass must discover exactly the
 //! dependence structure that spawning the same tasks freshly through
 //! `TaskBuilder` discovers, and execution must produce exactly the values of
-//! repeating the program sequentially — across shard counts {1, 2, 7, 16}
-//! and with the task-node recycler on and off.
+//! repeating the program sequentially — with the task-node recycler on and
+//! off.
 //!
 //! The measurement idiom mirrors `tests/tracker_equivalence.rs`: task bodies
 //! are *gated* on a shared flag, so nothing completes (and nothing retires)
@@ -22,9 +22,6 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use ompss::{Data, GraphTemplate, PartitionedData, ReplayBindings, Runtime, RuntimeConfig, TraceEvent};
-
-/// The shard counts the suite compares (matching `tracker_equivalence`).
-const SHARD_COUNTS: [usize; 4] = [1, 2, 7, 16];
 
 /// One step of a random program over a fixed set of cells.
 #[derive(Debug, Clone)]
@@ -206,11 +203,10 @@ struct InsertionStructure {
     counters: (u64, u64, u64, u64, u64, u64),
 }
 
-fn runtime_for(shards: usize, recycler: bool) -> Runtime {
+fn runtime_for(recycler: bool) -> Runtime {
     Runtime::new(
         RuntimeConfig::default()
             .with_workers(2)
-            .with_tracker_shards(shards)
             .with_task_recycler(recycler)
             .with_tracing(true),
     )
@@ -221,7 +217,6 @@ fn runtime_for(shards: usize, recycler: bool) -> Runtime {
 fn segment_structure(
     seg: &[TraceEvent],
     expected_tasks: usize,
-    shards: usize,
     before: &ompss::RuntimeStats,
     after: &ompss::RuntimeStats,
 ) -> InsertionStructure {
@@ -237,8 +232,7 @@ fn segment_structure(
     let index_of = |id: ompss::TaskId| order.iter().position(|t| *t == id);
     let mut edges = Vec::new();
     for ev in seg {
-        if let TraceEvent::Edge { task, from, shard, .. } = ev {
-            assert!(*shard < shards, "edge shard id out of range");
+        if let TraceEvent::Edge { task, from, .. } = ev {
             let (Some(f), Some(t)) = (index_of(*from), index_of(*task)) else {
                 // The previous iteration fully drained, so its (retired)
                 // tasks must take no edges from this one.
@@ -265,13 +259,12 @@ fn segment_structure(
 /// Run `rounds` gated fresh iterations of the program; return the structure
 /// of the final iteration and the final cell values.
 fn fresh(
-    shards: usize,
     recycler: bool,
     cells: usize,
     ops: &[Op],
     rounds: usize,
 ) -> (InsertionStructure, Vec<u64>) {
-    let rt = runtime_for(shards, recycler);
+    let rt = runtime_for(recycler);
     let handles: Vec<Data<u64>> = (0..cells).map(|_| rt.data(0u64)).collect();
     let gate = Arc::new(AtomicBool::new(false));
     let mut structure = None;
@@ -286,7 +279,6 @@ fn fresh(
             structure = Some(segment_structure(
                 &trace[skip..],
                 ops.len(),
-                shards,
                 &before,
                 &after,
             ));
@@ -302,13 +294,12 @@ fn fresh(
 /// Capture one gated iteration, then run `replays` gated replay passes;
 /// return the structure of the final pass and the final cell values.
 fn replayed(
-    shards: usize,
     recycler: bool,
     cells: usize,
     ops: &[Op],
     replays: usize,
 ) -> (InsertionStructure, Vec<u64>) {
-    let rt = runtime_for(shards, recycler);
+    let rt = runtime_for(recycler);
     let handles: Vec<Data<u64>> = (0..cells).map(|_| rt.data(0u64)).collect();
     let gate = Arc::new(AtomicBool::new(false));
     let template = capture_program(&rt, &handles, ops, &gate);
@@ -330,7 +321,6 @@ fn replayed(
             structure = Some(segment_structure(
                 &trace[skip..],
                 ops.len(),
-                shards,
                 &before,
                 &after,
             ));
@@ -364,8 +354,7 @@ fn demo_ops() -> Vec<Op> {
     ]
 }
 
-/// The full configuration grid: shard counts {1, 2, 7, 16} × recycler
-/// {on, off}. The final replay pass must discover byte-identical edge
+/// The configuration grid: recycler {on, off}. The final replay pass must discover byte-identical edge
 /// multisets, per-task dependence counts, and counter deltas as the final
 /// fresh iteration, and both must end in the sequential values.
 #[test]
@@ -373,24 +362,18 @@ fn replay_structure_and_values_match_fresh_across_grid() {
     let ops = demo_ops();
     let rounds = 3; // capture + 2 replays on the replay side
     let expected = run_sequential_rounds(4, &ops, rounds);
-    for shards in SHARD_COUNTS {
-        for recycler in [true, false] {
-            let (fresh_structure, fresh_values) = fresh(shards, recycler, 4, &ops, rounds);
-            let (replay_structure, replay_values) =
-                replayed(shards, recycler, 4, &ops, rounds - 1);
-            assert_eq!(
-                replay_structure, fresh_structure,
-                "shards = {shards}, recycler = {recycler}"
-            );
-            assert_eq!(
-                fresh_values, expected,
-                "fresh values, shards = {shards}, recycler = {recycler}"
-            );
-            assert_eq!(
-                replay_values, expected,
-                "replay values, shards = {shards}, recycler = {recycler}"
-            );
-        }
+    for recycler in [true, false] {
+        let (fresh_structure, fresh_values) = fresh(recycler, 4, &ops, rounds);
+        let (replay_structure, replay_values) = replayed(recycler, 4, &ops, rounds - 1);
+        assert_eq!(replay_structure, fresh_structure, "recycler = {recycler}");
+        assert_eq!(
+            fresh_values, expected,
+            "fresh values, recycler = {recycler}"
+        );
+        assert_eq!(
+            replay_values, expected,
+            "replay values, recycler = {recycler}"
+        );
     }
 }
 
@@ -398,20 +381,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Random programs: the final replay pass matches the final fresh
-    /// iteration structurally, and both match sequential semantics, on a
-    /// single-shard and a multi-shard tracker.
+    /// iteration structurally, and both match sequential semantics.
     #[test]
     fn prop_replay_equals_fresh(
         ops in proptest::collection::vec(op_strategy(4), 1..24),
     ) {
         let expected = run_sequential_rounds(4, &ops, 3);
-        for shards in [1usize, 7] {
-            let (fresh_structure, fresh_values) = fresh(shards, true, 4, &ops, 3);
-            let (replay_structure, replay_values) = replayed(shards, true, 4, &ops, 2);
-            prop_assert_eq!(&replay_structure, &fresh_structure, "shards = {}", shards);
-            prop_assert_eq!(&fresh_values, &expected, "fresh, shards = {}", shards);
-            prop_assert_eq!(&replay_values, &expected, "replay, shards = {}", shards);
-        }
+        let (fresh_structure, fresh_values) = fresh(true, 4, &ops, 3);
+        let (replay_structure, replay_values) = replayed(true, 4, &ops, 2);
+        prop_assert_eq!(&replay_structure, &fresh_structure);
+        prop_assert_eq!(&fresh_values, &expected, "fresh");
+        prop_assert_eq!(&replay_values, &expected, "replay");
     }
 }
 
@@ -544,7 +524,6 @@ fn rename_ring_rebind_rotates_replayed_slots() {
 /// sequential [`Runtime::replay`] calls with no drain between them — and
 /// return the segment's structure plus the final cell values.
 fn replayed_multi(
-    shards: usize,
     recycler: bool,
     cells: usize,
     ops: &[Op],
@@ -552,7 +531,7 @@ fn replayed_multi(
     fused: bool,
     warm: bool,
 ) -> (InsertionStructure, Vec<u64>) {
-    let rt = runtime_for(shards, recycler);
+    let rt = runtime_for(recycler);
     let handles: Vec<Data<u64>> = (0..cells).map(|_| rt.data(0u64)).collect();
     let gate = Arc::new(AtomicBool::new(false));
     let template = capture_program(&rt, &handles, ops, &gate);
@@ -582,13 +561,7 @@ fn replayed_multi(
     }
     let after = rt.stats();
     let trace = rt.trace();
-    let structure = segment_structure(
-        &trace[skip..],
-        ops.len() * k,
-        shards,
-        &before,
-        &after,
-    );
+    let structure = segment_structure(&trace[skip..], ops.len() * k, &before, &after);
     gate.store(true, Ordering::Release);
     rt.taskwait();
     assert_eq!(template.passes(), warm as u64 + k as u64);
@@ -601,7 +574,7 @@ fn replayed_multi(
 /// (edge multiset over all k·n tasks, per-task dependence counts, counter
 /// deltas) to `k` sequential `replay` calls with no drain between them —
 /// including the carried inter-iteration dependences — across the full
-/// shard × recycler grid, both before the template freezes (fused resolved
+/// recycler grid, both before the template freezes (fused resolved
 /// insertion) and after (fused pre-wired insertion).
 #[test]
 fn fused_replay_matches_sequential_replays_across_grid() {
@@ -610,25 +583,21 @@ fn fused_replay_matches_sequential_replays_across_grid() {
     for warm in [false, true] {
         let rounds = 1 + usize::from(warm) + k; // capture + warm + measured
         let expected = run_sequential_rounds(4, &ops, rounds);
-        for shards in SHARD_COUNTS {
-            for recycler in [true, false] {
-                let (seq_structure, seq_values) =
-                    replayed_multi(shards, recycler, 4, &ops, k, false, warm);
-                let (fused_structure, fused_values) =
-                    replayed_multi(shards, recycler, 4, &ops, k, true, warm);
-                assert_eq!(
-                    fused_structure, seq_structure,
-                    "shards = {shards}, recycler = {recycler}, warm = {warm}"
-                );
-                assert_eq!(
-                    seq_values, expected,
-                    "sequential values, shards = {shards}, recycler = {recycler}, warm = {warm}"
-                );
-                assert_eq!(
-                    fused_values, expected,
-                    "fused values, shards = {shards}, recycler = {recycler}, warm = {warm}"
-                );
-            }
+        for recycler in [true, false] {
+            let (seq_structure, seq_values) = replayed_multi(recycler, 4, &ops, k, false, warm);
+            let (fused_structure, fused_values) = replayed_multi(recycler, 4, &ops, k, true, warm);
+            assert_eq!(
+                fused_structure, seq_structure,
+                "recycler = {recycler}, warm = {warm}"
+            );
+            assert_eq!(
+                seq_values, expected,
+                "sequential values, recycler = {recycler}, warm = {warm}"
+            );
+            assert_eq!(
+                fused_values, expected,
+                "fused values, recycler = {recycler}, warm = {warm}"
+            );
         }
     }
 }
@@ -780,7 +749,6 @@ proptest! {
         let rt = Runtime::new(
             RuntimeConfig::default()
                 .with_workers(2)
-                .with_tracker_shards(7)
                 .with_tracing(true),
         );
         let part = PartitionedData::new(vec![0u64, 0], 1);

@@ -15,12 +15,15 @@
 //!   [`Runtime::task_slab_diagnostics`] reports zero outstanding nodes
 //!   (every node is either parked in the free list or deallocated), the
 //!   tracker maps are empty, and the recycler was actually exercised.
+//! * **Drain ordering** — the moment `in_flight_tasks()` reads zero, the
+//!   slab has no node outstanding and the runtime audits clean, with no
+//!   `taskwait` in between.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use ompss::{Runtime, RuntimeConfig, TaskId};
+use ompss::{Data, Runtime, RuntimeConfig, TaskId};
 
 const SPAWNERS: usize = 6;
 
@@ -120,11 +123,7 @@ fn run_churn(config: RuntimeConfig) -> (Runtime, u64) {
 
 #[test]
 fn recycler_churn_keeps_ids_unique_and_leaks_no_node() {
-    let (rt, total) = run_churn(
-        RuntimeConfig::default()
-            .with_workers(4)
-            .with_tracker_shards(8),
-    );
+    let (rt, total) = run_churn(RuntimeConfig::default().with_workers(4));
     // The fetch tasks of the per-thread asserts also went through the slab;
     // only the drained end state has to balance.
     let diag = rt.task_slab_diagnostics();
@@ -157,7 +156,6 @@ fn recycler_disabled_behaves_identically_with_zero_recycles() {
     let (rt, total) = run_churn(
         RuntimeConfig::default()
             .with_workers(4)
-            .with_tracker_shards(8)
             .with_task_recycler(false),
     );
     let diag = rt.task_slab_diagnostics();
@@ -165,5 +163,51 @@ fn recycler_disabled_behaves_identically_with_zero_recycles() {
     assert_eq!(diag.recycled, 0, "recycler off must never reuse");
     assert_eq!(diag.free, 0);
     assert!(diag.allocated >= total);
+    rt.shutdown();
+}
+
+/// Workers retire a task's history and recycle its node *before* they
+/// decrement the in-flight count, so a runtime whose `in_flight_tasks()`
+/// just reached zero is already settled: no node outstanding, and a clean
+/// audit (ledger, tracker lock, history residue, slab, tickets). Checked
+/// right after a busy-wait drain — no `taskwait`, which would give the
+/// workers time to settle — over many batches of the one-allocation
+/// (`output(cell)`) and two-allocation (`input(prev).output(cell)`)
+/// shapes, so a retire tail that decremented first fails here.
+#[test]
+fn drained_runtime_is_settled_the_moment_in_flight_reaches_zero() {
+    const CELLS: usize = 16;
+    const BATCH: usize = 64;
+    let rounds = if cfg!(debug_assertions) { 60 } else { 300 };
+    let rt = Runtime::new(RuntimeConfig::default().with_workers(2));
+    let cells: Vec<Data<u64>> = (0..CELLS).map(|_| rt.data(0u64)).collect();
+    for round in 0..rounds {
+        let two_allocations = round % 2 == 1;
+        for i in 0..BATCH {
+            let c = cells[i % CELLS].clone();
+            if two_allocations {
+                let prev = cells[(i + CELLS - 1) % CELLS].clone();
+                rt.task().input(&prev).output(&c).spawn(move |ctx| {
+                    let v = ctx.read(&prev).wrapping_add(1);
+                    *ctx.write(&c) = v;
+                });
+            } else {
+                rt.task()
+                    .output(&c)
+                    .spawn(move |ctx| *ctx.write(&c) = i as u64);
+            }
+        }
+        while rt.in_flight_tasks() > 0 {
+            std::thread::yield_now();
+        }
+        let slab = rt.task_slab_diagnostics();
+        assert_eq!(
+            slab.outstanding, 0,
+            "round {round}: nodes outstanding at drain: {slab:?}"
+        );
+        if let Err(violation) = rt.audit() {
+            panic!("round {round}: audit at drain: {violation}");
+        }
+    }
     rt.shutdown();
 }

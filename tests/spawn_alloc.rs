@@ -5,7 +5,9 @@
 //! (slab full of recycled nodes, tracker maps and scheduler queues at their
 //! high-water capacity), a batch of ≤2-access task spawns — including their
 //! execution, completion, retirement and node recycling — performs **zero**
-//! heap allocations.
+//! heap allocations. Two batch shapes are measured: single-`output` tasks,
+//! and the two-allocation `input(prev).output(cell)` chain that graph replay
+//! and streamcluster spawn.
 //!
 //! This file contains exactly one test so no unrelated test thread can
 //! allocate inside the measurement window.
@@ -13,11 +15,16 @@
 #[global_allocator]
 static ALLOC: ompss::CountingAllocator = ompss::CountingAllocator;
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+
 use ompss::{CountingAllocator, Data, Runtime, RuntimeConfig};
 
 /// Tasks per batch. Must stay below the slab capacity so a drained batch
 /// fully restocks the free list for the next one.
 const BATCH: usize = 256;
+/// Worker threads of the measured runtimes.
+const WORKERS: usize = 2;
 
 fn spawn_batch(rt: &Runtime, cells: &[Data<u64>]) {
     for i in 0..BATCH {
@@ -28,12 +35,50 @@ fn spawn_batch(rt: &Runtime, cells: &[Data<u64>]) {
     }
 }
 
+/// The two-allocation shape: task `i` reads cell `i - 1` and writes cell
+/// `i` (mod the cell count), so every registration and retirement spans two
+/// allocations.
+fn spawn_chain_batch(rt: &Runtime, cells: &[Data<u64>]) {
+    let n = cells.len();
+    for i in 0..BATCH {
+        let c = cells[i % n].clone();
+        let prev = cells[(i + n - 1) % n].clone();
+        rt.task().input(&prev).output(&c).spawn(move |ctx| {
+            let v = ctx.read(&prev).wrapping_add(i as u64);
+            *ctx.write(&c) = v;
+        });
+    }
+}
+
+/// Stock the slab by construction: park every worker on a gate task, spawn
+/// one full batch behind them — so all `BATCH` nodes are checked out at
+/// once — then open the gate and drain. Afterwards at least
+/// `BATCH + WORKERS` nodes are parked, so no later batch can outrun the
+/// stock, however its tasks happen to be scheduled.
+fn warm_behind_gate(rt: &Runtime, batch: impl FnOnce()) {
+    let open = Arc::new(AtomicBool::new(false));
+    for _ in 0..WORKERS {
+        let open = open.clone();
+        rt.task().spawn(move |_| {
+            while !open.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+        });
+    }
+    batch();
+    // Nothing can have completed: every worker is parked on a gate task
+    // (they are first in the ready queue), and the batch queues behind.
+    assert_eq!(rt.in_flight_tasks(), BATCH + WORKERS);
+    open.store(true, Ordering::Release);
+    drain(rt);
+}
+
 /// Busy-wait for the batch to drain without calling anything that
 /// allocates (`taskwait` runs a GC sweep and `stats()` builds vectors;
 /// `in_flight_tasks` is one atomic read). Workers recycle a node *before*
 /// decrementing the in-flight count, so a drained runtime deterministically
-/// has every batch node parked in the free list — the next batch of
-/// `BATCH` spawns can never outrun the stock, whatever the scheduling.
+/// has every batch node parked in the free list (`tests/slab_recycler.rs`
+/// pins that ordering).
 fn drain(rt: &Runtime) {
     while rt.in_flight_tasks() > 0 {
         std::thread::yield_now();
@@ -44,8 +89,7 @@ fn drain(rt: &Runtime) {
 fn steady_state_spawn_is_allocation_free() {
     let rt = Runtime::new(
         RuntimeConfig::default()
-            .with_workers(2)
-            .with_tracker_shards(4)
+            .with_workers(WORKERS)
             // No periodic GC sweep: the tracker maps keep their warmed
             // capacity across the window (GC itself is scratch-reusing, but
             // dropping and re-creating per-allocation index entries would
@@ -54,8 +98,10 @@ fn steady_state_spawn_is_allocation_free() {
     );
     let cells: Vec<Data<u64>> = (0..16).map(|_| rt.data(0u64)).collect();
 
-    // Warm-up: fill the node slab, the access/successor/scratch capacities,
-    // the scheduler queues and the tracker history maps.
+    // Warm-up: stock the node slab with a full batch, then fill the
+    // access/successor/scratch capacities, the scheduler queues and the
+    // tracker history maps.
+    warm_behind_gate(&rt, || spawn_batch(&rt, &cells));
     for _ in 0..4 {
         spawn_batch(&rt, &cells);
         drain(&rt);
@@ -81,6 +127,25 @@ fn steady_state_spawn_is_allocation_free() {
     );
     assert_eq!(stats.access_inline_spills, 0);
     assert_eq!(stats.access_inline_hits, stats.tasks_spawned);
+
+    // The two-allocation chain: one tracker lock acquisition to register
+    // and one to retire, both walking the task's two accesses in place, so
+    // it rides the same diet.
+    warm_behind_gate(&rt, || spawn_chain_batch(&rt, &cells));
+    for _ in 0..4 {
+        spawn_chain_batch(&rt, &cells);
+        drain(&rt);
+    }
+    let before = CountingAllocator::allocations();
+    spawn_chain_batch(&rt, &cells);
+    drain(&rt);
+    let delta_chain = CountingAllocator::allocations() - before;
+    assert_eq!(
+        delta_chain, 0,
+        "steady-state two-allocation spawns must not allocate (saw {delta_chain} \
+         allocations across a {BATCH}-task batch)"
+    );
+    assert_eq!(rt.stats().access_inline_spills, 0);
 
     // Template replay rides the same diet: capture a full batch (the
     // capture iteration itself allocates freely — recipes, Arc'd bodies),
@@ -122,7 +187,7 @@ fn steady_state_spawn_is_allocation_free() {
 
     // Fused super-batches ride the same diet: the first fused pass widens
     // the working set to 2×BATCH nodes (allocating the extra ones once),
-    // after which a warm fused replay — one gate acquisition, one wakeup,
+    // after which a warm fused replay — one lock acquisition, one wakeup,
     // 2×BATCH tasks — performs zero heap allocations.
     rt.replay_fused(&template, 2);
     drain(&rt);
@@ -141,8 +206,7 @@ fn steady_state_spawn_is_allocation_free() {
     // counter hook itself is alive and the zero above is meaningful.
     let rt_off = Runtime::new(
         RuntimeConfig::default()
-            .with_workers(2)
-            .with_tracker_shards(4)
+            .with_workers(WORKERS)
             .with_tracker_gc_interval(0)
             .with_task_recycler(false),
     );

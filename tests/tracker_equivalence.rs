@@ -1,24 +1,24 @@
-//! Equivalence of the sharded dependence tracker with the single-shard
-//! (historical single-lock) tracker — and of the optimistic (gate-CAS)
-//! registration fast path with the forced-locked mutex path.
+//! Equivalence of the dependence tracker across task-node reuse, and with
+//! sequential execution.
 //!
-//! Sharding and the fast path must be invisible except in throughput: for
-//! any program, the tracker with N shards — with or without the optimistic
-//! path — must discover exactly the dependence structure the 1-shard
-//! forced-locked tracker discovers, and execution must produce exactly the
-//! values of sequential (spawn-order) execution.
+//! The task-node recycler must be invisible except in allocation counts:
+//! for any program, the tracker must discover exactly the same dependence
+//! structure with recycled nodes as with fresh ones, and execution must
+//! produce exactly the values of sequential (spawn-order) execution.
 //!
-//! Two angles, both over randomly generated access programs (mixed
+//! Three angles, all over randomly generated access programs (mixed
 //! `input` / `output` / `inout` / `concurrent` accesses over many handles):
 //!
 //! 1. **Edge-structure equivalence.** Task bodies are *gated* on a shared
 //!    flag, so no task completes (and nothing retires) while the program is
 //!    being spawned — registration is then fully deterministic, and the edge
-//!    multiset (recorded by the tracing `Edge` events, which also carry the
-//!    shard id), the per-task dependence counts, and every edge counter must
-//!    be identical for shard counts {1, 2, 7, 16}.
-//! 2. **Value equivalence.** The same programs run ungated on every shard
-//!    count and must end with exactly the sequential final values.
+//!    multiset (recorded by the tracing `Edge` events), the per-task
+//!    dependence counts, and every edge counter must be identical with the
+//!    recycler on and off.
+//! 2. **Value equivalence.** The same programs run ungated, recycler on and
+//!    off, and must end with exactly the sequential final values.
+//! 3. **Race freedom.** The same matrix under the `dcheck` race oracle
+//!    reports no race and audits clean.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -26,10 +26,6 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use ompss::{Data, Runtime, RuntimeConfig, TraceEvent};
-
-/// The shard counts the suite compares (1 is the reference single-lock
-/// configuration).
-const SHARD_COUNTS: [usize; 4] = [1, 2, 7, 16];
 
 /// One step of a random program over a fixed set of cells.
 #[derive(Debug, Clone)]
@@ -145,8 +141,8 @@ fn run_sequential_matching_tasks(cells: usize, ops: &[Op]) -> Vec<u64> {
     run_sequential(cells, ops)
 }
 
-/// Everything that must be identical across shard counts when no task can
-/// complete during registration.
+/// Everything that must be identical across recycler settings when no task
+/// can complete during registration.
 #[derive(Debug, PartialEq, Eq)]
 struct EdgeStructure {
     /// Dependence edges as (pred spawn index, succ spawn index), sorted.
@@ -157,42 +153,19 @@ struct EdgeStructure {
     counters: (u64, u64, u64, u64, u64),
 }
 
-fn edge_structure(
-    shards: usize,
-    fast_path: bool,
-    recycler: bool,
-    cells: usize,
-    ops: &[Op],
-) -> EdgeStructure {
+fn edge_structure(recycler: bool, cells: usize, ops: &[Op]) -> EdgeStructure {
     let rt = Runtime::new(
         RuntimeConfig::default()
             .with_workers(2)
-            .with_tracker_shards(shards)
-            .with_tracker_fast_path(fast_path)
             .with_task_recycler(recycler)
             .with_tracing(true),
     );
-    assert_eq!(rt.tracker_shards(), shards);
     let handles: Vec<Data<u64>> = (0..cells).map(|_| rt.data(0u64)).collect();
     let gate = Arc::new(AtomicBool::new(false));
     let ids = spawn_program(&rt, &handles, ops, Some(&gate));
     // All registrations done, nothing has completed: snapshot the
     // deterministic structure, then release the tasks and drain.
     let stats = rt.stats();
-    assert_eq!(stats.tracker_shards, shards);
-    // Hit/fallback accounting: with the fast path enabled every
-    // registration that has accesses is either a hit or a fallback; with it
-    // disabled, neither counter moves.
-    if fast_path {
-        assert_eq!(
-            stats.tracker_fast_path_hits + stats.tracker_fast_path_fallbacks,
-            stats.tasks_spawned,
-            "every registration is accounted as fast-path hit or fallback"
-        );
-    } else {
-        assert_eq!(stats.tracker_fast_path_hits, 0);
-        assert_eq!(stats.tracker_fast_path_fallbacks, 0);
-    }
     let trace = rt.trace();
     gate.store(true, Ordering::Release);
     rt.taskwait();
@@ -203,8 +176,7 @@ fn edge_structure(
     let mut deps = vec![usize::MAX; ids.len()];
     for ev in &trace {
         match ev {
-            TraceEvent::Edge { task, from, shard, .. } => {
-                assert!(*shard < shards, "edge shard id out of range");
+            TraceEvent::Edge { task, from, .. } => {
                 let (Some(f), Some(t)) = (index_of(*from), index_of(*task)) else {
                     panic!("edge references an unknown task");
                 };
@@ -233,12 +205,10 @@ fn edge_structure(
     }
 }
 
-fn final_values(shards: usize, fast_path: bool, recycler: bool, cells: usize, ops: &[Op]) -> Vec<u64> {
+fn final_values(recycler: bool, cells: usize, ops: &[Op]) -> Vec<u64> {
     let rt = Runtime::new(
         RuntimeConfig::default()
             .with_workers(3)
-            .with_tracker_shards(shards)
-            .with_tracker_fast_path(fast_path)
             .with_task_recycler(recycler),
     );
     let handles: Vec<Data<u64>> = (0..cells).map(|_| rt.data(0u64)).collect();
@@ -252,50 +222,30 @@ fn final_values(shards: usize, fast_path: bool, recycler: bool, cells: usize, op
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// With task completion gated off during spawning, the sharded tracker —
-    /// optimistic fast path enabled — discovers exactly the edge multiset,
-    /// per-task dependence counts and edge-class counters of the
-    /// forced-locked single-shard tracker, for every shard count; the
-    /// forced-locked configuration agrees at every shard count too, and the
-    /// task-node recycler is invisible to the structure at every shard
-    /// count ({recycler on, off} × shards).
+    /// With task completion gated off during spawning, the tracker
+    /// discovers exactly the same edge multiset, per-task dependence counts
+    /// and edge-class counters with recycled task nodes as with fresh ones.
     #[test]
-    fn sharded_edge_structure_equals_single_shard(
+    fn recycled_edge_structure_equals_fresh_nodes(
         ops in proptest::collection::vec(op_strategy(4), 1..32),
     ) {
-        // Reference: 1 shard, forced-locked (the historical tracker),
-        // recycler on (the default).
-        let reference = edge_structure(1, false, true, 4, &ops);
+        // Reference: recycler on (the default).
+        let reference = edge_structure(true, 4, &ops);
         prop_assert_eq!(reference.edges.len() as u64, reference.counters.0);
-        for shards in SHARD_COUNTS {
-            let optimistic = edge_structure(shards, true, true, 4, &ops);
-            prop_assert_eq!(&optimistic, &reference, "optimistic, shards = {}", shards);
-            let no_recycler = edge_structure(shards, true, false, 4, &ops);
-            prop_assert_eq!(&no_recycler, &reference, "recycler off, shards = {}", shards);
-        }
-        for shards in &SHARD_COUNTS[1..] {
-            let locked = edge_structure(*shards, false, true, 4, &ops);
-            prop_assert_eq!(&locked, &reference, "forced-locked, shards = {}", shards);
-        }
+        let no_recycler = edge_structure(false, 4, &ops);
+        prop_assert_eq!(&no_recycler, &reference, "recycler off");
     }
 
-    /// Ungated execution on every shard count — optimistic and
-    /// forced-locked, recycler on and off — ends in exactly the sequential
-    /// final values.
+    /// Ungated execution, recycler on and off, ends in exactly the
+    /// sequential final values.
     #[test]
-    fn sharded_execution_matches_sequential_semantics(
+    fn execution_matches_sequential_semantics(
         ops in proptest::collection::vec(op_strategy(5), 1..48),
     ) {
         let expected = run_sequential_matching_tasks(5, &ops);
-        for shards in SHARD_COUNTS {
-            let got = final_values(shards, true, true, 5, &ops);
-            prop_assert_eq!(&got, &expected, "optimistic, shards = {}", shards);
-        }
-        let got = final_values(7, false, true, 5, &ops);
-        prop_assert_eq!(&got, &expected, "forced-locked, shards = 7");
-        for shards in [1usize, 16] {
-            let got = final_values(shards, true, false, 5, &ops);
-            prop_assert_eq!(&got, &expected, "recycler off, shards = {}", shards);
+        for recycler in [true, false] {
+            let got = final_values(recycler, 5, &ops);
+            prop_assert_eq!(&got, &expected, "recycler = {}", recycler);
         }
     }
 }
@@ -303,8 +253,6 @@ proptest! {
 /// Run one program under the dcheck race oracle on a given tracker
 /// configuration and return (final values, race reports, audit verdict).
 fn final_values_dcheck(
-    shards: usize,
-    fast_path: bool,
     recycler: bool,
     cells: usize,
     ops: &[Op],
@@ -312,8 +260,6 @@ fn final_values_dcheck(
     let rt = Runtime::new(
         RuntimeConfig::default()
             .with_workers(3)
-            .with_tracker_shards(shards)
-            .with_tracker_fast_path(fast_path)
             .with_task_recycler(recycler)
             .with_dcheck(true),
     );
@@ -331,124 +277,75 @@ fn final_values_dcheck(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The full tracker matrix under the dcheck race oracle: every shard
-    /// count × {optimistic, forced-locked} × {recycler on, off} runs random
-    /// programs with zero race reports and a clean audit — the sharded
-    /// tracker orders every conflicting pair no matter which registration
-    /// path or node-reuse policy is active, and the oracle agrees.
+    /// The tracker matrix under the dcheck race oracle: {recycler on, off}
+    /// runs random programs with zero race reports and a clean audit — the
+    /// tracker orders every conflicting pair whichever node-reuse policy is
+    /// active, and the oracle agrees.
     #[test]
     fn tracker_matrix_is_race_free_under_dcheck(
         ops in proptest::collection::vec(op_strategy(4), 1..32),
     ) {
         let expected = run_sequential_matching_tasks(4, &ops);
-        for shards in SHARD_COUNTS {
-            for fast_path in [true, false] {
-                for recycler in [true, false] {
-                    let (got, races, audit_ok) =
-                        final_values_dcheck(shards, fast_path, recycler, 4, &ops);
-                    let tag = format!(
-                        "shards = {shards}, fast_path = {fast_path}, recycler = {recycler}"
-                    );
-                    prop_assert_eq!(&got, &expected, "values diverged: {}", tag);
-                    prop_assert!(races.is_empty(), "races under {}: {:?}", tag, races);
-                    prop_assert!(audit_ok, "audit violation under {}", tag);
-                }
-            }
+        for recycler in [true, false] {
+            let (got, races, audit_ok) = final_values_dcheck(recycler, 4, &ops);
+            prop_assert_eq!(&got, &expected, "values diverged: recycler = {}", recycler);
+            prop_assert!(races.is_empty(), "races under recycler = {}: {:?}", recycler, races);
+            prop_assert!(audit_ok, "audit violation under recycler = {}", recycler);
         }
     }
 }
 
 /// A fixed two-stage pipeline whose structure is easy to reason about:
-/// `n` producer→consumer pairs over disjoint handles, plus a final reader of
-/// everything. The edge multiset is the same for every shard count, and the
-/// shard ids recorded on the edges cover more than one shard once shards > 1
-/// (fresh allocation ids round-robin across shards).
+/// `n` producer→consumer pairs over disjoint handles, each consumer also
+/// folding into one shared sum. With completion gated off during spawning,
+/// the edges are exactly the `n` RAW producer→consumer edges plus the
+/// `n - 1` edges of the `inout` chain through the sum.
 #[test]
-fn pipeline_edges_identical_and_spread_across_shards() {
+fn pipeline_edges_match_the_expected_structure() {
     let n = 8;
-    let run = |shards: usize| {
-        let rt = Runtime::new(
-            RuntimeConfig::default()
-                .with_workers(2)
-                .with_tracker_shards(shards)
-                .with_tracing(true),
-        );
-        let cells: Vec<Data<u64>> = (0..n).map(|_| rt.data(0u64)).collect();
-        let sum = rt.data(0u64);
-        let gate = Arc::new(AtomicBool::new(false));
-        let mut ids = Vec::new();
-        for (i, c) in cells.iter().enumerate() {
-            let d = c.clone();
-            let g = gate.clone();
-            ids.push(rt.task().output(&d).spawn(move |ctx| {
-                while !g.load(Ordering::Acquire) {
-                    std::thread::yield_now();
-                }
-                *ctx.write(&d) = i as u64 + 1;
-            }));
-        }
-        for c in &cells {
-            let d = c.clone();
-            let s = sum.clone();
-            let g = gate.clone();
-            ids.push(rt.task().input(&d).inout(&s).spawn(move |ctx| {
-                while !g.load(Ordering::Acquire) {
-                    std::thread::yield_now();
-                }
-                let v = *ctx.read(&d);
-                let mut s = ctx.write(&s);
-                *s = s.wrapping_add(v);
-            }));
-        }
-        let trace = rt.trace();
-        gate.store(true, Ordering::Release);
-        rt.taskwait();
-        let total = rt.fetch(&sum);
-        rt.shutdown();
-        let index_of = |id: ompss::TaskId| ids.iter().position(|t| *t == id).unwrap();
-        let mut edges = Vec::new();
-        let mut shards_seen = std::collections::HashSet::new();
-        for ev in &trace {
-            if let TraceEvent::Edge { task, from, shard, .. } = ev {
-                edges.push((index_of(*from), index_of(*task)));
-                shards_seen.insert(*shard);
+    let rt = Runtime::new(RuntimeConfig::default().with_workers(2).with_tracing(true));
+    let cells: Vec<Data<u64>> = (0..n).map(|_| rt.data(0u64)).collect();
+    let sum = rt.data(0u64);
+    let gate = Arc::new(AtomicBool::new(false));
+    let mut ids = Vec::new();
+    for (i, c) in cells.iter().enumerate() {
+        let d = c.clone();
+        let g = gate.clone();
+        ids.push(rt.task().output(&d).spawn(move |ctx| {
+            while !g.load(Ordering::Acquire) {
+                std::thread::yield_now();
             }
-        }
-        edges.sort_unstable();
-        (edges, shards_seen, total)
-    };
-
-    let (reference_edges, one_shard_seen, total) = run(1);
-    assert_eq!(total, (1..=n as u64).sum::<u64>());
-    // n RAW producer→consumer edges + the inout chain through `sum`.
-    assert_eq!(reference_edges.len(), n + n - 1);
-    assert_eq!(one_shard_seen.len(), 1);
-    for shards in [4, 16] {
-        let (edges, shards_seen, total_s) = run(shards);
-        assert_eq!(edges, reference_edges, "shards = {shards}");
-        assert_eq!(total_s, total);
-        assert!(
-            shards_seen.len() > 1,
-            "with {shards} shards the {n} handles must not all map to one shard"
-        );
+            *ctx.write(&d) = i as u64 + 1;
+        }));
     }
-}
-
-/// The config knob: 0 means auto (2 × workers), anything else is taken
-/// as-is; the runtime reports the effective count.
-#[test]
-fn tracker_shard_configuration_is_reported() {
-    let auto = Runtime::new(RuntimeConfig::default().with_workers(3));
-    assert_eq!(auto.tracker_shards(), 6);
-    auto.shutdown();
-    let explicit = Runtime::new(RuntimeConfig::default().with_workers(3).with_tracker_shards(7));
-    assert_eq!(explicit.tracker_shards(), 7);
-    assert_eq!(
-        RuntimeConfig::default()
-            .with_workers(2)
-            .with_tracker_shards(0)
-            .effective_tracker_shards(),
-        4
-    );
-    explicit.shutdown();
+    for c in &cells {
+        let d = c.clone();
+        let s = sum.clone();
+        let g = gate.clone();
+        ids.push(rt.task().input(&d).inout(&s).spawn(move |ctx| {
+            while !g.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            let v = *ctx.read(&d);
+            let mut s = ctx.write(&s);
+            *s = s.wrapping_add(v);
+        }));
+    }
+    let trace = rt.trace();
+    gate.store(true, Ordering::Release);
+    rt.taskwait();
+    assert_eq!(rt.fetch(&sum), (1..=n as u64).sum::<u64>());
+    rt.shutdown();
+    let index_of = |id: ompss::TaskId| ids.iter().position(|t| *t == id).unwrap();
+    let mut edges = Vec::new();
+    for ev in &trace {
+        if let TraceEvent::Edge { task, from, .. } = ev {
+            edges.push((index_of(*from), index_of(*task)));
+        }
+    }
+    edges.sort_unstable();
+    let mut expected: Vec<(usize, usize)> = (0..n).map(|i| (i, n + i)).collect();
+    expected.extend((n..2 * n - 1).map(|i| (i, i + 1)));
+    expected.sort_unstable();
+    assert_eq!(edges, expected);
 }

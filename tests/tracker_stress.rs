@@ -1,8 +1,8 @@
-//! Concurrent-spawn stress for the sharded dependence tracker.
+//! Concurrent-spawn stress for the dependence tracker.
 //!
 //! Many OS threads spawn into one runtime at once, over overlapping
 //! allocations, so registrations, completions and retirements genuinely race
-//! on the tracker shards. The invariants checked:
+//! on the tracker lock. The invariants checked:
 //!
 //! * **no lost edges** — every per-thread `inout` chain counts exactly its
 //!   own tasks (a lost edge lets two chain tasks race on the same cell and
@@ -12,8 +12,8 @@
 //!   (`tasks_executed == tasks_spawned`, the bodies' own counter agrees, and
 //!   a re-executed body would panic in the runtime and be reported);
 //! * **clean drain** — after the final `taskwait` the tracker maps are
-//!   empty in every shard (the completion retire path plus GC reclaimed all
-//!   history, including the `by_alloc` overlap index).
+//!   empty (the completion retire path plus GC reclaimed all history,
+//!   including the `by_alloc` overlap index).
 //!
 //! CI runs this under `cargo test --release` with both default test
 //! threading and `RUST_TEST_THREADS=1`, so the contention is real.
@@ -37,8 +37,8 @@ fn tasks_per_spawner() -> usize {
 }
 
 /// Spawn `SPAWNERS × per_thread` tasks from separate OS threads and check
-/// every invariant. Returns the runtime stats for extra assertions.
-fn run_stress(config: RuntimeConfig) -> ompss::RuntimeStats {
+/// every invariant.
+fn run_stress(config: RuntimeConfig) {
     let per_thread = tasks_per_spawner();
     let total = (SPAWNERS * per_thread) as u64;
     let rt = Runtime::new(config);
@@ -116,41 +116,14 @@ fn run_stress(config: RuntimeConfig) -> ompss::RuntimeStats {
     let diag = rt.tracker_diagnostics();
     assert_eq!(diag.total_regions(), 0, "tracked regions leak after drain");
     assert_eq!(diag.total_allocs(), 0, "by_alloc leaks after drain");
-
-    // The tracker was exercised, and under contention the try-lock path
-    // counted hits per shard.
-    let hits: u64 = stats.tracker_shard_hits.iter().sum();
-    assert!(hits >= total, "every registration takes at least one shard lock");
-
     rt.shutdown();
-    stats
 }
 
-#[test]
-fn concurrent_spawn_stress_sharded() {
-    let stats = run_stress(
-        RuntimeConfig::default()
-            .with_workers(4)
-            .with_tracker_shards(8),
-    );
-    assert_eq!(stats.tracker_shards, 8);
-    // Handles are allocated round-robin across shards, so several shards
-    // must have been hit.
-    let active = stats.tracker_shard_hits.iter().filter(|&&h| h > 0).count();
-    assert!(active > 1, "sharded run concentrated on one shard: {:?}", stats.tracker_shard_hits);
-}
-
+/// The 8-spawner hammer against the tracker's single lock, with 4 workers
+/// retiring concurrently.
 #[test]
 fn concurrent_spawn_stress_single_shard() {
-    // The historical single-lock configuration must survive the same storm
-    // (it is the equivalence reference) — only its throughput differs.
-    let stats = run_stress(
-        RuntimeConfig::default()
-            .with_workers(4)
-            .with_tracker_shards(1),
-    );
-    assert_eq!(stats.tracker_shards, 1);
-    assert_eq!(stats.tracker_shard_hits.len(), 1);
+    run_stress(RuntimeConfig::default().with_workers(4));
 }
 
 /// Regression test for the retire path of the `by_alloc` overlap index:
@@ -161,7 +134,7 @@ fn concurrent_spawn_stress_single_shard() {
 /// forever for programs spawning less than that.
 #[test]
 fn retired_allocations_leave_by_alloc() {
-    let rt = Runtime::new(RuntimeConfig::default().with_workers(2).with_tracker_shards(4));
+    let rt = Runtime::new(RuntimeConfig::default().with_workers(2));
     // Far fewer than the periodic-GC threshold, so only the retire path and
     // the explicit / quiescent GC can clean up.
     let v = rt.versioned_data(0u64);
