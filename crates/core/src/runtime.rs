@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crossbeam::deque::Worker as WorkerDeque;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::access::{Access, AccessKind, AccessVec};
 use crate::critical::CriticalSections;
@@ -44,8 +44,9 @@ pub const DEFAULT_TRACKER_GC_INTERVAL: u64 = 512;
 /// Configuration of a [`Runtime`].
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
-    /// Number of worker threads executing tasks. The main (spawning) thread
-    /// does not execute tasks, mirroring a dedicated-master configuration.
+    /// Number of worker threads executing tasks. A thread waiting in
+    /// [`Runtime::taskwait`] (or any other wait) runs ready tasks too, like
+    /// the Nanos++ master thread.
     pub workers: usize,
     /// Ready-task scheduling policy.
     pub policy: SchedulerPolicy,
@@ -419,6 +420,51 @@ impl RuntimeInner {
         self.in_flight.load(Ordering::SeqCst) == 0
     }
 
+    /// Every wait of the runtime: until `done()` holds, run ready tasks on
+    /// the calling thread. `worker` is its index inside a task body, else
+    /// `None` (shared-free-list recycling, helper trace lane `workers`).
+    /// `execute_task` leaves a helper one woken successor to run next; one
+    /// still held when `done()` turns true goes back to the scheduler.
+    pub(crate) fn help_until(
+        self: &Arc<Self>,
+        worker: Option<usize>,
+        mut done: impl FnMut() -> bool,
+    ) {
+        let (helper, mut ready, mut spins) = (worker.unwrap_or(0), Vec::new(), 0u32);
+        while !done() {
+            match ready.pop().or_else(|| self.sched.pop(helper, None)) {
+                Some(task) => {
+                    worker::execute_task(self, task, worker, None, &mut ready);
+                    spins = 0;
+                }
+                None if spins < 64 => {
+                    std::hint::spin_loop();
+                    spins += 1;
+                }
+                None => std::thread::yield_now(),
+            }
+        }
+        for task in ready.drain(..) {
+            self.sched.push_wakeup(task, None, worker, None);
+        }
+    }
+
+    /// `taskwait on`, root and nested: help until every in-flight task
+    /// touching (a region overlapping) `handle` has completed.
+    fn taskwait_on(self: &Arc<Self>, worker: Option<usize>, handle: &impl Accessible) {
+        self.stats.add(StatField::TaskwaitOns, 1);
+        for region in handle.sync_regions() {
+            let touching = self.tracker.tasks_touching(&region);
+            let mut next = 0;
+            self.help_until(worker, || {
+                while touching.get(next).is_some_and(|t| t.is_completed()) {
+                    next += 1;
+                }
+                next == touching.len()
+            });
+        }
+    }
+
     /// The dcheck work done at every quiescent `taskwait`/`barrier`: run the
     /// happens-before checker over the epoch's shadow logs, then the full
     /// invariant audit, recording any violation. No-op when dcheck is off.
@@ -779,16 +825,13 @@ impl Runtime {
     /// every task those spawned, since children always finish before their
     /// parents' counters drop) has completed.
     ///
-    /// This is the polling "task barrier" of the paper: the calling thread
-    /// spins (with `yield`) rather than blocking in the kernel.
+    /// The calling thread runs ready tasks while it waits, like the Nanos++
+    /// master thread; it spins (with `yield`) only when none is ready.
     pub fn taskwait(&self) {
         self.inner.stats.add(StatField::Taskwaits, 1);
-        let mut spins = 0u32;
-        while self.inner.root_children.live_children() > 0
-            || self.inner.in_flight.load(Ordering::SeqCst) > 0
-        {
-            backoff(&mut spins);
-        }
+        // A task leaves `in_flight` only after its parent counted it done,
+        // so this also waits out every root child.
+        self.inner.help_until(None, || self.inner.quiescent());
         // Quiescence: every task has completed and retired, so this sweep
         // deterministically drops the tombstoned history — a drained runtime
         // tracks nothing (see `Runtime::tracker_diagnostics`).
@@ -812,30 +855,17 @@ impl Runtime {
 
     /// Wait only for the in-flight tasks that access (a region overlapping)
     /// `handle` — the `#pragma omp taskwait on (x)` of Listing 1. For a
-    /// versioned handle this covers every version still in flight.
+    /// versioned handle this covers every version still in flight. Like
+    /// [`Runtime::taskwait`], the caller runs ready tasks (any task) meanwhile.
     pub fn taskwait_on(&self, handle: &impl Accessible) {
-        self.inner.stats.add(StatField::TaskwaitOns, 1);
-        for region in handle.sync_regions() {
-            let touching = self.inner.tracker.tasks_touching(&region);
-            for task in touching {
-                let mut spins = 0u32;
-                while !task.is_completed() {
-                    backoff(&mut spins);
-                }
-            }
-        }
+        self.inner.taskwait_on(None, handle);
     }
 
     /// Full task barrier: wait for global quiescence (all in-flight tasks,
-    /// regardless of spawning context).
+    /// regardless of spawning context) — the same wait as
+    /// [`Runtime::taskwait`], whose `in_flight` count covers every task.
     pub fn barrier(&self) {
-        self.inner.stats.add(StatField::Taskwaits, 1);
-        let mut spins = 0u32;
-        while !self.inner.quiescent() {
-            backoff(&mut spins);
-        }
-        self.inner.tracker.garbage_collect();
-        self.inner.dcheck_quiescent_pass();
+        self.taskwait();
     }
 
     /// Execute `f` under the named critical section (the `#pragma omp
@@ -847,28 +877,27 @@ impl Runtime {
 
     /// Read back a copy of the value behind `data`, respecting dependences:
     /// the copy observes every task spawned before this call that writes
-    /// `data`.
+    /// `data`. The copy task usually runs on the calling thread while it
+    /// waits (see [`Runtime::taskwait`]). Panics if that task was retired
+    /// without running (a predecessor panicked or its scope was cancelled).
     pub fn fetch<T: Clone + Send + 'static>(&self, data: &Data<T>) -> T {
-        let slot: Arc<(Mutex<Option<T>>, Condvar)> = Arc::new((Mutex::new(None), Condvar::new()));
+        let slot = Arc::new(Mutex::new(None));
         {
             let slot = slot.clone();
             let data = data.clone();
             self.task()
                 .name("ompss::fetch")
                 .input(&data)
-                .spawn(move |ctx| {
-                    let value = ctx.read(&data).clone();
-                    let (lock, cv) = &*slot;
-                    *lock.lock() = Some(value);
-                    cv.notify_all();
-                });
+                .spawn(move |ctx| *slot.lock() = Some(ctx.read(&data).clone()));
         }
-        let (lock, cv) = &*slot;
-        let mut guard = lock.lock();
-        while guard.is_none() {
-            cv.wait(&mut guard);
-        }
-        guard.take().expect("fetch task stored a value")
+        // The closure holds the only other `slot` reference: running the
+        // body, or retiring the task unrun, drops it.
+        self.inner
+            .help_until(None, || Arc::strong_count(&slot) == 1);
+        Arc::try_unwrap(slot)
+            .ok()
+            .and_then(Mutex::into_inner)
+            .expect("fetch task retired without running (poisoned or cancelled)")
     }
 
     /// Wait for all tasks touching `data`, then unwrap the value. Panics if
@@ -1055,7 +1084,8 @@ impl Runtime {
         self.inner.trace.snapshot()
     }
 
-    /// Busy nanoseconds per worker derived from the trace.
+    /// Busy nanoseconds per worker derived from the trace; index
+    /// [`Runtime::num_workers`] is the helper lane (see [`Runtime::taskwait`]).
     pub fn busy_ns_per_worker(&self) -> Vec<u64> {
         self.inner.trace.busy_ns_per_worker()
     }
@@ -1104,15 +1134,6 @@ impl std::fmt::Debug for Runtime {
             .field("policy", &self.inner.config.policy)
             .field("in_flight", &self.inner.in_flight.load(Ordering::SeqCst))
             .finish()
-    }
-}
-
-fn backoff(spins: &mut u32) {
-    if *spins < 64 {
-        std::hint::spin_loop();
-        *spins += 1;
-    } else {
-        std::thread::yield_now();
     }
 }
 
@@ -1421,7 +1442,8 @@ impl<'a> TaskContext<'a> {
         self.node.id
     }
 
-    /// Index of the worker executing this task, if known.
+    /// Index of the worker executing this task; `None` when a thread waiting
+    /// outside the pool (e.g. in [`Runtime::taskwait`]) runs it.
     pub fn worker_id(&self) -> Option<usize> {
         self.worker
     }
@@ -1768,40 +1790,15 @@ impl<'a> TaskContext<'a> {
     /// never deadlocks the pool.
     pub fn taskwait(&self) {
         self.inner.stats.add(StatField::Taskwaits, 1);
-        let mut spins = 0u32;
-        let mut ready = Vec::new();
-        while self.node.children.live_children() > 0 {
-            let helper_id = self.worker.unwrap_or(0);
-            if let Some(task) = self.inner.sched.pop(helper_id, None) {
-                worker::execute_task(self.inner, task, self.worker, None, &mut ready);
-                spins = 0;
-            } else {
-                backoff(&mut spins);
-            }
-        }
+        self.inner
+            .help_until(self.worker, || self.node.children.live_children() == 0);
     }
 
     /// Wait for the in-flight tasks accessing `handle` (helping execute ready
     /// tasks meanwhile). For a versioned handle this covers every version
     /// still in flight.
     pub fn taskwait_on(&self, handle: &impl Accessible) {
-        self.inner.stats.add(StatField::TaskwaitOns, 1);
-        let helper_id = self.worker.unwrap_or(0);
-        let mut ready = Vec::new();
-        for region in handle.sync_regions() {
-            let touching = self.inner.tracker.tasks_touching(&region);
-            for task in touching {
-                let mut spins = 0u32;
-                while !task.is_completed() {
-                    if let Some(t) = self.inner.sched.pop(helper_id, None) {
-                        worker::execute_task(self.inner, t, self.worker, None, &mut ready);
-                        spins = 0;
-                    } else {
-                        backoff(&mut spins);
-                    }
-                }
-            }
-        }
+        self.inner.taskwait_on(self.worker, handle);
     }
 
     /// Execute `f` under the named critical section.

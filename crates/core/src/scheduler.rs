@@ -60,6 +60,11 @@ pub enum SchedulerPolicy {
 }
 
 /// What idle workers do while no task is ready.
+///
+/// It governs the pool's worker threads only. A thread waiting in
+/// `taskwait`, `taskwait_on`, `barrier` or `fetch` runs ready tasks itself,
+/// as the Nanos++ master thread does at a `taskwait`, and spins (with
+/// `yield_now` backoff) whenever none is ready, under either policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IdlePolicy {
     /// Spin (with `yield_now` backoff). This is what the Nanos++ runtime of

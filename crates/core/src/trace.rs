@@ -70,7 +70,8 @@ pub enum TraceEvent {
     Started {
         /// Task id.
         task: TaskId,
-        /// Executing worker index.
+        /// Executing lane: the worker index, or the runtime's worker count
+        /// for a thread that ran the task while waiting (the helper lane).
         worker: usize,
         /// Nanoseconds since runtime start.
         at_ns: u64,
@@ -79,7 +80,8 @@ pub enum TraceEvent {
     Finished {
         /// Task id.
         task: TaskId,
-        /// Executing worker index.
+        /// Executing lane: the worker index, or the runtime's worker count
+        /// for a thread that ran the task while waiting (the helper lane).
         worker: usize,
         /// Nanoseconds since runtime start.
         at_ns: u64,
@@ -224,8 +226,9 @@ impl TraceRecorder {
     }
 
     /// Total busy time (sum of task execution intervals) per worker, derived
-    /// from Started/Finished pairs. The returned vector is indexed by worker
-    /// id and sized to the largest worker index seen.
+    /// from Started/Finished pairs. The returned vector is indexed by lane
+    /// (worker index; the helper lane is one past the last worker) and sized
+    /// to the largest lane seen.
     pub fn busy_ns_per_worker(&self) -> Vec<u64> {
         let events = self.events.lock();
         let mut start_of: std::collections::HashMap<(usize, TaskId), u64> =
@@ -255,7 +258,8 @@ impl TraceRecorder {
         busy
     }
 
-    /// Count of tasks executed per worker.
+    /// Count of tasks executed per lane (indexed as in
+    /// [`TraceRecorder::busy_ns_per_worker`]).
     pub fn tasks_per_worker(&self) -> Vec<u64> {
         let events = self.events.lock();
         let mut counts: Vec<u64> = Vec::new();
@@ -272,8 +276,9 @@ impl TraceRecorder {
 
     /// Export the execution intervals as a Chrome-tracing (`chrome://tracing`
     /// / Perfetto) JSON array: one complete ("X") event per executed task,
-    /// with the worker index as the thread id. The output plays the role the
-    /// Paraver traces play in the original OmpSs toolchain.
+    /// with the lane (worker index, or the helper lane) as the thread id.
+    /// The output plays the role the Paraver traces play in the original
+    /// OmpSs toolchain.
     pub fn to_chrome_trace(&self) -> String {
         type StartInfo = (u64, Option<Arc<str>>);
         let events = self.events.lock();
@@ -472,6 +477,30 @@ mod tests {
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"tid\":2"));
         assert!(json.contains("\"dur\":3.000"));
+    }
+
+    #[test]
+    fn helper_lane_sits_one_past_the_workers() {
+        // A 1-worker runtime: lane 0 is the worker, lane 1 the thread that
+        // ran tasks while waiting.
+        let r = TraceRecorder::new(true);
+        for (task, lane, start) in [(1, 0, 0), (2, 1, 10), (3, 1, 40)] {
+            r.record(TraceEvent::Started {
+                task: tid(task),
+                worker: lane,
+                at_ns: start,
+            });
+            r.record(TraceEvent::Finished {
+                task: tid(task),
+                worker: lane,
+                at_ns: start + 20,
+                panicked: false,
+            });
+        }
+        assert_eq!(r.busy_ns_per_worker(), vec![20, 40]);
+        assert_eq!(r.tasks_per_worker(), vec![1, 2]);
+        let json = r.to_chrome_trace();
+        assert_eq!(json.matches("\"tid\":1").count(), 2);
     }
 
     #[test]

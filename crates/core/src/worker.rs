@@ -48,10 +48,12 @@ pub(crate) fn worker_loop(
 /// Execute one task: run the body, notify successors, update counters, and
 /// hand the node back to the slab when this worker held its last reference.
 ///
-/// Also used by nested `taskwait` helpers (with `deque = None`), in which
-/// case woken successors go to the global queue instead of a local deque.
-/// `ready` is the caller's reusable wakeup buffer; it is drained before
-/// returning.
+/// Also used by threads helping while they wait (`RuntimeInner::help_until`,
+/// with `deque = None`), in which case woken successors go to the global
+/// queue instead of a local deque, except the first unprioritised one,
+/// which stays in `ready` for the helper to run next; a helper outside the
+/// pool (`worker == None`) is traced on lane `workers`. `ready` is the
+/// caller's reusable wakeup buffer; a worker's is drained before returning.
 pub(crate) fn execute_task(
     inner: &Arc<RuntimeInner>,
     node: Arc<TaskNode>,
@@ -76,10 +78,11 @@ pub(crate) fn execute_task(
     // would mint a new id and bump the generation) while we execute it.
     let (task_id, generation) = (node.id, node.generation);
     let trace_enabled = inner.trace.is_enabled();
+    let lane = worker.unwrap_or(inner.config.workers);
     if trace_enabled {
         inner.trace.record(TraceEvent::Started {
             task: task_id,
-            worker: worker.unwrap_or(usize::MAX),
+            worker: lane,
             at_ns: inner.trace.now_ns(),
         });
     }
@@ -127,7 +130,7 @@ pub(crate) fn execute_task(
     if trace_enabled {
         inner.trace.record(TraceEvent::Finished {
             task: task_id,
-            worker: worker.unwrap_or(usize::MAX),
+            worker: lane,
             at_ns: inner.trace.now_ns(),
             panicked,
         });
@@ -231,15 +234,23 @@ fn retire_node(
     let trace_enabled = inner.trace.is_enabled();
     let affinity = inner.config.policy == crate::scheduler::SchedulerPolicy::ShardAffinity;
 
-    // Under shard-affinity scheduling each successor carries its dominant
-    // shard as a placement hint.
-    for succ in ready.drain(..) {
-        if trace_enabled {
+    if trace_enabled {
+        for succ in ready.iter() {
             inner.trace.record(TraceEvent::Ready {
                 task: succ.id,
                 at_ns: inner.trace.now_ns(),
             });
         }
+    }
+    // A helper (no deque) keeps its first plain successor in `ready` and
+    // runs it next, so a chain stays on one thread instead of bouncing
+    // through the global queue between the helper and the workers (a
+    // worker gets the same locality from its LIFO deque). Prioritised
+    // successors always go through the priority heap. Under shard-affinity
+    // scheduling each pushed successor carries its dominant shard as a
+    // placement hint.
+    let keep = usize::from(deque.is_none() && ready.first().is_some_and(|s| s.priority.0 == 0));
+    for succ in ready.drain(keep..) {
         let shard = if affinity {
             succ.accesses
                 .first()
@@ -285,7 +296,7 @@ fn retire_node(
 
     // Retired, tickets released, bookkeeping done: if this worker holds the
     // last reference, the node's storage goes back to the slab for the next
-    // spawn (transient holders — a `taskwait_on` spinner, a fetch — simply
+    // spawn (transient holders — a `taskwait_on` waiter — simply
     // make it drop normally; recycling is best-effort). This happens
     // *before* the completion counters tick over, so once `taskwait`
     // observes a drained runtime every node really is parked or freed —

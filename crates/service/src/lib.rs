@@ -23,9 +23,11 @@
 //! * **Dispatchers**: a small pool of threads pops admitted jobs and runs
 //!   each to quiescence on the tenant's runtime, routing by the job's
 //!   affinity key so template-replay jobs land on the runtime that captured
-//!   their template. Job-body panics are caught and reported through the
-//!   job's [`JobTicket`] — a misbehaving tenant fails its own job, never the
-//!   process.
+//!   their template. While a dispatcher waits for its job to drain it runs
+//!   the job's ready tasks itself (the runtime's `taskwait` helps), so a
+//!   short job needs no hand-off to a worker thread. Job-body panics are
+//!   caught and reported through the job's [`JobTicket`] — a misbehaving
+//!   tenant fails its own job, never the process.
 //! * **Metrics** ([`ServiceMetrics`] / [`TenantMetrics`]): queue depth and
 //!   peak, per-tenant accept/reject/complete counters, dispatcher
 //!   utilisation, and per-tenant runtime statistics (spawns, replays,

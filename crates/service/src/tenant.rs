@@ -147,7 +147,9 @@ pub(crate) struct PoolEntry {
     /// runtime would misattribute each other's failures (one job resolving
     /// `Completed` with another job's panic charged to it). Dispatchers
     /// hold this for the whole execute-and-quiesce span, so failure
-    /// attribution is exact per job.
+    /// attribution is exact per job. A dispatcher waiting in `taskwait`
+    /// runs ready tasks of this runtime itself; one job per runtime means
+    /// those are always its own job's tasks.
     pub(crate) busy: Mutex<()>,
 }
 

@@ -12,6 +12,10 @@
 //!    dependence. The oracle must report exactly that W-R pair and nothing
 //!    else. Without this test, an oracle that never fires would pass every
 //!    other suite.
+//!
+//! The oracle also runs over every Table 1 program of `benchsuite`, where
+//! the thread waiting in `taskwait`/`fetch` runs tasks itself, so its
+//! accesses land in dcheck's helper shadow log.
 
 use proptest::prelude::*;
 
@@ -374,4 +378,62 @@ fn epoch_reset_clears_the_mutation() {
     assert!(rt.audit().is_ok());
     assert_eq!(rt.into_inner(data), 10);
     rt.shutdown();
+}
+
+/// Every Table 1 program, at its small size, on a 2-worker dcheck runtime:
+/// zero race reports, clean automatic and final audits, and the sequential
+/// checksum.
+#[test]
+fn table1_programs_are_race_free_under_dcheck() {
+    use benchsuite::benchmarks::*;
+    macro_rules! programs {
+        ($($name:literal => $m:ident),* $(,)?) => {
+            [$(($name, (|| $m::run_seq(&$m::Params::small())) as fn() -> u64,
+                (|rt| $m::run_ompss(&$m::Params::small(), rt)) as fn(&Runtime) -> u64)),*]
+        };
+    }
+    let programs = programs![
+        "c-ray" => cray,
+        "rotate" => rotate,
+        "rgbcmy" => rgbcmy,
+        "md5" => md5,
+        "kmeans" => kmeans,
+        "ray-rot" => rayrot,
+        "rot-cc" => rotcc,
+        "streamcluster" => streamcluster,
+        "bodytrack" => bodytrack,
+        "h264dec" => h264dec,
+    ];
+    let names: Vec<&str> = programs.iter().map(|(name, _, _)| *name).collect();
+    assert_eq!(
+        names,
+        benchsuite::benchmark_names(),
+        "a Table 1 program is not checked"
+    );
+    for (name, seq, ompss) in programs {
+        let rt = Runtime::new(RuntimeConfig::default().with_workers(2).with_dcheck(true));
+        let checksum = ompss(&rt);
+        rt.taskwait();
+        assert!(
+            rt.stats().tasks_spawned > 0,
+            "{name}: no task ran on the runtime"
+        );
+        let outcome = oracle_outcome(&rt);
+        assert!(
+            outcome.races.is_empty(),
+            "{name}: races {:?}",
+            outcome.races
+        );
+        assert!(
+            outcome.auto_audit.is_empty(),
+            "{name}: automatic audits {:?}",
+            outcome.auto_audit
+        );
+        assert!(outcome.audit.is_ok(), "{name}: audit {:?}", outcome.audit);
+        assert_eq!(
+            checksum,
+            seq(),
+            "{name}: checksum differs from the sequential run"
+        );
+    }
 }
